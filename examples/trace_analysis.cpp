@@ -4,16 +4,17 @@
 //    into a real MRT file (BGP4MP_ET records, byte-compatible subset of
 //    RFC 6396).
 // 2. Re-opens the file cold — exactly what an analyst with an archived
-//    RouteViews/RIS file would do — iterates its elems, and runs the
-//    ARTEMIS detection service over the replay to find the hijack and
-//    measure how long it was visible.
+//    RouteViews/RIS file would do — converts it with the archive
+//    importer's ObservationConverter, and runs the ARTEMIS detection
+//    service over the replay to find the hijack and measure how long it
+//    was visible.
 //
 // Usage: trace_analysis [trace.mrt]
 #include <cstdio>
 #include <fstream>
 
 #include "artemis/detection.hpp"
-#include "mrt/mrt.hpp"
+#include "mrt/observation_convert.hpp"
 #include "mrt/stream_reader.hpp"
 #include "sim/network.hpp"
 #include "topology/generator.hpp"
@@ -83,29 +84,35 @@ int main(int argc, char** argv) {
   config.add_owned(std::move(owned));
   core::DetectionService detector(config);
 
+  // Offline: one merged source and no feed lag (delivered_at ==
+  // event_time).
+  mrt::ObservationConverter converter(
+      {.source_prefix = "mrt-replay", .source_scheme = mrt::ImportSourceScheme::kSingle});
   SimTime first_bogus = SimTime::never();
   SimTime last_bogus = SimTime::zero();
-  std::size_t elems = 0;
-  for (const auto& elem : mrt::read_elems_from_file(trace_path)) {
-    ++elems;
-    feeds::Observation obs;
-    obs.type = elem.type == mrt::ElemType::kWithdraw
-                   ? feeds::ObservationType::kWithdrawal
-                   : feeds::ObservationType::kAnnouncement;
-    obs.source = "mrt-replay";
-    obs.vantage = elem.peer_asn;
-    obs.prefix = elem.prefix;
-    obs.attrs = elem.attrs;
-    obs.event_time = elem.timestamp;
-    obs.delivered_at = elem.timestamp;  // offline: no feed lag
-    detector.process(obs);
-    if (obs.type == feeds::ObservationType::kAnnouncement &&
-        elem.attrs.as_path.origin_as() == attacker) {
-      first_bogus = std::min(first_bogus, elem.timestamp);
-      last_bogus = std::max(last_bogus, elem.timestamp);
+  const auto analyze = [&](std::span<const feeds::Observation> batch) {
+    detector.process_batch(batch);
+    for (const auto& obs : batch) {
+      if (obs.type == feeds::ObservationType::kAnnouncement &&
+          obs.origin_as() == attacker) {
+        first_bogus = std::min(first_bogus, obs.event_time);
+        last_bogus = std::max(last_bogus, obs.event_time);
+      }
     }
+  };
+  converter.begin_file();
+  mrt::decompress_file(trace_path, [&](std::span<const std::uint8_t> chunk) {
+    converter.feed(chunk, analyze);
+  });
+  const auto stats = converter.finish_file(analyze);
+  if (!stats.clean()) {
+    std::fprintf(stderr, "trace %s is damaged: %s\n", trace_path.c_str(),
+                 stats.truncated ? "truncated mid-record" : stats.error.c_str());
+    return 1;
   }
-  std::printf("replayed %zu elems, %llu matched owned space\n", elems,
+  std::printf("replayed %llu records into %llu observations, %llu matched owned space\n",
+              static_cast<unsigned long long>(stats.records),
+              static_cast<unsigned long long>(stats.observations),
               static_cast<unsigned long long>(detector.observations_matched()));
 
   for (const auto& alert : detector.alerts()) {

@@ -292,7 +292,6 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
     alert.source = obs.source;
     alert.event_time = obs.event_time;
     alert.detected_at = obs.delivered_at;
-    record->dedup = alert.dedup_key();
     alerts_.push_back(alert);
     for (const auto& handler : handlers_) handler(alert);
   }
@@ -312,24 +311,9 @@ const std::unordered_map<std::string, SimTime>* DetectionService::first_seen_by_
   return it == records_.end() ? nullptr : &it->second.first_seen_by_source;
 }
 
-const std::unordered_map<std::string, SimTime>* DetectionService::first_seen_by_source(
-    const std::string& dedup_key) const {
-  for (const auto& [key, record] : records_) {
-    if (record.dedup == dedup_key) return &record.first_seen_by_source;
-  }
-  return nullptr;
-}
-
 std::uint64_t DetectionService::observation_count(const AlertKey& key) const {
   const auto it = records_.find(key);
   return it == records_.end() ? 0 : it->second.observations;
-}
-
-std::uint64_t DetectionService::observation_count(const std::string& dedup_key) const {
-  for (const auto& [key, record] : records_) {
-    if (record.dedup == dedup_key) return record.observations;
-  }
-  return 0;
 }
 
 }  // namespace artemis::core

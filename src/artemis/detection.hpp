@@ -90,18 +90,15 @@ class DetectionService {
   /// All alerts raised so far (deduplicated).
   const std::vector<HijackAlert>& alerts() const { return alerts_; }
 
-  /// First time each source delivered an observation matching `key`.
-  /// Used for per-source delay reporting. The AlertKey overload is a hash
-  /// lookup; the string overload (a HijackAlert::dedup_key()) scans and
-  /// is for display/tooling call sites only.
+  /// First time each source delivered an observation matching `key`
+  /// (HijackAlert::key()), or nullptr for a hijack never seen. Used for
+  /// per-source delay reporting.
   const std::unordered_map<std::string, SimTime>* first_seen_by_source(
       const AlertKey& key) const;
-  const std::unordered_map<std::string, SimTime>* first_seen_by_source(
-      const std::string& dedup_key) const;
 
-  /// Number of matching observations per deduplicated alert.
+  /// Number of matching observations per deduplicated alert (0 for a
+  /// hijack never seen).
   std::uint64_t observation_count(const AlertKey& key) const;
-  std::uint64_t observation_count(const std::string& dedup_key) const;
 
   std::uint64_t observations_processed() const { return processed_; }
   std::uint64_t observations_matched() const { return matched_; }
@@ -158,7 +155,6 @@ class DetectionService {
   struct HijackRecord {
     std::unordered_map<std::string, SimTime> first_seen_by_source;
     std::uint64_t observations = 0;
-    std::string dedup;  ///< display key, materialized once per unique alert
   };
   std::unordered_map<AlertKey, HijackRecord, AlertKeyHash> records_;
   std::uint64_t processed_ = 0;

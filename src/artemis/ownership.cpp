@@ -1,5 +1,7 @@
 #include "artemis/ownership.hpp"
 
+#include <atomic>
+
 namespace artemis::core {
 
 namespace {
@@ -34,22 +36,6 @@ OwnershipRef OwnershipTable::match(const net::Prefix& p) const {
     if (!found.valid()) found = OwnershipRef{idx, owned_[idx].tenant};
   });
   return found;
-}
-
-OwnershipStore::OwnershipStore(std::shared_ptr<const OwnershipTable> initial)
-    : table_(std::move(initial)) {}
-
-std::shared_ptr<const OwnershipTable> OwnershipStore::snapshot() const {
-  const std::scoped_lock lock(mutex_);
-  return table_;
-}
-
-void OwnershipStore::publish(std::shared_ptr<const OwnershipTable> table) {
-  {
-    const std::scoped_lock lock(mutex_);
-    table_ = std::move(table);
-  }
-  epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace artemis::core

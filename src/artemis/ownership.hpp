@@ -17,11 +17,11 @@
 //     across a snapshot swap is a bug the index form makes visible
 //     (the pointer form made it a use-after-free).
 //
-//   * OwnershipStore — epoch/RCU-style publication. reload produces a
-//     NEW table and publishes it atomically; readers that captured the
-//     old shared_ptr keep a consistent view until their batch boundary,
-//     then pick up the new snapshot. Nothing restarts, nothing
-//     re-replays, no in-flight batch is perturbed.
+// A reload builds a NEW table and swaps it in at a batch boundary
+// (ShardedDetector::reload -> DetectionService::set_ownership); readers
+// that captured the old shared_ptr keep a consistent view until their
+// batch ends. Nothing restarts, nothing re-replays, no in-flight batch
+// is perturbed.
 //
 // Overlapping ownership across tenants resolves to a single winner per
 // observation (most-specific covering entry, insertion order breaking
@@ -29,10 +29,8 @@
 // Config::match had, now tenant-tagged.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -107,8 +105,8 @@ struct OwnershipRef {
 /// The immutable multi-tenant snapshot. Construct via Config::build_table
 /// (or the constructor, for synthetic benches), then share freely:
 /// every member is const after construction, so concurrent readers need
-/// no synchronization — publication order is the OwnershipStore's (or
-/// the pipeline barrier's) business.
+/// no synchronization — publication order is the pipeline barrier's
+/// business (ShardedDetector::reload).
 class OwnershipTable {
  public:
   /// Freezes `owned` (each entry's `tenant` field must index `tenants`)
@@ -161,28 +159,6 @@ class OwnershipTable {
   MitigationPolicy fallback_policy_;
   bool any_auto_mitigate_ = false;
   std::uint64_t version_ = 0;
-};
-
-/// Epoch-published snapshot holder: the reload seam. publish() swaps the
-/// current table under a mutex and bumps a relaxed epoch counter;
-/// snapshot() hands out the current shared_ptr. Readers poll epoch() —
-/// one relaxed load — to learn that a newer snapshot exists, then call
-/// snapshot() (mutex, cold) to fetch it at their next batch boundary.
-class OwnershipStore {
- public:
-  explicit OwnershipStore(std::shared_ptr<const OwnershipTable> initial);
-
-  std::shared_ptr<const OwnershipTable> snapshot() const;
-  void publish(std::shared_ptr<const OwnershipTable> table);
-
-  /// Bumped once per publish. Relaxed — pair with snapshot() for the
-  /// data; the epoch only says "go look".
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-
- private:
-  mutable std::mutex mutex_;
-  std::shared_ptr<const OwnershipTable> table_;
-  std::atomic<std::uint64_t> epoch_{0};
 };
 
 }  // namespace artemis::core

@@ -1,11 +1,13 @@
 #include "feeds/batch_feed.hpp"
 
-#include "mrt/stream_reader.hpp"
-
 namespace artemis::feeds {
 
 BatchFeed::BatchFeed(sim::Network& network, BatchFeedParams params, Rng rng)
-    : network_(network), params_(std::move(params)), rng_(rng) {
+    : network_(network),
+      params_(std::move(params)),
+      rng_(rng),
+      converter_({.source_prefix = params_.name,
+                  .source_scheme = mrt::ImportSourceScheme::kSingle}) {
   if (params_.mode == BatchMode::kUpdates) {
     for (const auto vantage : params_.vantages) {
       network_.speaker(vantage).add_change_tap(
@@ -88,28 +90,17 @@ void BatchFeed::deliver_file(std::vector<std::uint8_t> mrt_bytes, SimTime availa
   ++files_published_;
   auto& sim = network_.simulator();
   sim.at(available_at, [this, bytes = std::move(mrt_bytes), available_at] {
-    // Decode the published file exactly as an archive consumer would, and
-    // hand the whole window downstream as one batch — the natural unit of
-    // the archive pipeline (and the shape the batch-first detection path
-    // amortizes best).
-    const auto elems = mrt::read_elems(bytes);
-    std::vector<Observation> batch;
-    batch.reserve(elems.size());
-    for (const auto& elem : elems) {
-      Observation& obs = batch.emplace_back();
-      switch (elem.type) {
-        case mrt::ElemType::kAnnounce: obs.type = ObservationType::kAnnouncement; break;
-        case mrt::ElemType::kWithdraw: obs.type = ObservationType::kWithdrawal; break;
-        case mrt::ElemType::kRibEntry: obs.type = ObservationType::kRouteState; break;
-      }
-      obs.source = params_.name;
-      obs.vantage = elem.peer_asn;
-      obs.prefix = elem.prefix;
-      obs.attrs = elem.attrs;
-      obs.event_time = elem.timestamp;
-      obs.delivered_at = available_at;
-    }
-    fanout_.emit(batch);
+    // Decode the published file exactly as the archive importer would,
+    // and hand the whole window downstream as one batch — the natural
+    // unit of the archive pipeline (and the shape the batch-first
+    // detection path amortizes best). Nothing in it is visible before
+    // the file itself is.
+    file_batch_.clear();
+    converter_.convert_file(bytes, [this](std::span<const Observation> batch) {
+      file_batch_.insert(file_batch_.end(), batch.begin(), batch.end());
+    });
+    for (auto& obs : file_batch_) obs.delivered_at = available_at;
+    fanout_.emit(file_batch_);
   });
 }
 

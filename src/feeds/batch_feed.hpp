@@ -6,8 +6,8 @@
 // BatchFeed reproduces that pipeline end to end, *including the MRT
 // encoding*: updates are buffered into an in-memory MRT file per window
 // and the subscriber-visible observations are decoded back from those
-// bytes, so the wire format is exercised on the hot path exactly as a
-// libBGPStream-based consumer would.
+// bytes by the same ObservationConverter the archive importer runs, so
+// a simulated archive and an imported one share one decode path.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 
 #include "feeds/fanout.hpp"
 #include "feeds/observation.hpp"
-#include "mrt/mrt.hpp"
+#include "mrt/observation_convert.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
 
@@ -48,7 +48,9 @@ class BatchFeed {
   void subscribe(ObservationHandler handler);
 
   /// Batch subscribers get one call per published file — the decoded
-  /// archive window as a single contiguous batch, in file order.
+  /// archive window as a single contiguous batch, in file order. Every
+  /// observation is delivered when its file is (delivered_at = file
+  /// availability); RIB entries carry the dump time as event_time.
   void subscribe_batch(ObservationBatchHandler handler);
 
   const std::string& name() const { return params_.name; }
@@ -68,6 +70,10 @@ class BatchFeed {
   BatchFeedParams params_;
   Rng rng_;
   ObservationFanout fanout_;
+  /// Decodes published files; its one source is the feed name.
+  mrt::ObservationConverter converter_;
+  /// One file's observations, emitted as a single batch.
+  std::vector<Observation> file_batch_;
   /// MRT bytes accumulated in the current window (kUpdates mode).
   std::vector<std::uint8_t> window_buffer_;
   std::uint64_t bytes_published_ = 0;

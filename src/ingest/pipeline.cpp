@@ -136,8 +136,8 @@ SourceFeedStats IngestPipeline::finish_source() {
   stats_.convert = converter_.finish_file(batch_sink_);
   // A transport-layer tear is a truncation of the source even when the
   // recovered prefix happened to end on an MRT record boundary — the same
-  // patch import_mrt_files applies for the pull path (the stream's own
-  // message stays in stream_error, mirroring its transport_error).
+  // patch import_mrt_files applies to files (the stream's own message
+  // stays in stream_error, mirroring its transport_error).
   if (stats_.stream_truncated && stats_.convert.error.empty()) {
     stats_.convert.truncated = true;
   }

@@ -385,14 +385,10 @@ namespace {
 std::optional<std::vector<std::uint8_t>> read_segment_bytes(
     const std::string& path) {
   try {
-    auto input = mrt::open_input(path);
     std::vector<std::uint8_t> out;
-    std::uint8_t chunk[64 << 10];
-    for (;;) {
-      const std::size_t n = input->read(chunk);
-      if (n == 0) break;
-      out.insert(out.end(), chunk, chunk + n);
-    }
+    mrt::decompress_file(path, [&out](std::span<const std::uint8_t> bytes) {
+      out.insert(out.end(), bytes.begin(), bytes.end());
+    });
     return out;
   } catch (const std::exception&) {
     return std::nullopt;

@@ -36,14 +36,12 @@ void JournalReader::MappedSegment::open(const std::string& path) {
     // A cold (gzip) segment: decompress into owned storage. Compressed
     // segments are written whole at seal time (tmp + rename), so unlike
     // a raw tail, a torn stream here is corruption, not a crash scar.
-    auto input = mrt::open_input(path);
-    std::uint8_t chunk[256 << 10];
-    for (std::size_t n = input->read(chunk); n != 0; n = input->read(chunk)) {
-      owned.insert(owned.end(), chunk, chunk + n);
-    }
-    if (input->truncated()) {
-      throw JournalError(path + ": compressed segment is torn (" +
-                         input->error() + ")");
+    const std::string tear =
+        mrt::decompress_file(path, [this](std::span<const std::uint8_t> bytes) {
+          owned.insert(owned.end(), bytes.begin(), bytes.end());
+        });
+    if (!tear.empty()) {
+      throw JournalError(path + ": compressed segment is torn (" + tear + ")");
     }
     size = owned.size();
     data = owned.empty() ? nullptr : owned.data();

@@ -278,14 +278,12 @@ void JournalWriter::resume_existing() {
   if (last_compressed) {
     // A compressed segment was written whole (tmp + rename at seal), so
     // it cannot hold a torn tail; decode it only to count its records.
-    auto input = mrt::open_input(last_path);
-    std::uint8_t chunk[64 << 10];
-    for (std::size_t n = input->read(chunk); n != 0; n = input->read(chunk)) {
-      data.insert(data.end(), chunk, chunk + n);
-    }
-    if (input->truncated()) {
-      throw JournalError(last_path + ": compressed segment is torn (" +
-                         input->error() + ")");
+    const std::string tear =
+        mrt::decompress_file(last_path, [&data](std::span<const std::uint8_t> bytes) {
+          data.insert(data.end(), bytes.begin(), bytes.end());
+        });
+    if (!tear.empty()) {
+      throw JournalError(last_path + ": compressed segment is torn (" + tear + ")");
     }
   } else {
     std::FILE* file = std::fopen(last_path.c_str(), "rb");

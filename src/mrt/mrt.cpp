@@ -384,15 +384,6 @@ void decode_path_attributes_into(ByteReader& attrs_reader, bgp::PathAttributes& 
   out.as_path.assign(hops_scratch.data(), hops_scratch.size());
 }
 
-bgp::PathAttributes decode_path_attributes(ByteReader& attrs_reader) {
-  bgp::PathAttributes attrs;
-  std::vector<bgp::Asn> hops;
-  std::vector<bgp::Asn> as4;
-  decode_path_attributes_into(attrs_reader, attrs, /*two_byte_as_path=*/false, hops,
-                              as4);
-  return attrs;
-}
-
 namespace {
 
 std::vector<std::uint8_t> encode_bgp_update_impl(const bgp::UpdateMessage& update,
@@ -447,42 +438,6 @@ std::vector<std::uint8_t> encode_bgp_update(const bgp::UpdateMessage& update,
   return encode_bgp_update_impl(update, /*two_byte_as_path=*/false, options);
 }
 
-bgp::UpdateMessage decode_bgp_update(ByteReader& reader, bgp::Asn sender,
-                                     bool two_byte_as_path) {
-  for (int i = 0; i < 16; ++i) {
-    if (reader.u8() != 0xFF) throw DecodeError("bad BGP marker");
-  }
-  const std::uint16_t total_len = reader.u16();
-  if (total_len < 19) throw DecodeError("BGP message too short");
-  const std::uint8_t msg_type = reader.u8();
-  if (msg_type != kBgpMsgUpdate) throw DecodeError("not a BGP UPDATE");
-  ByteReader body = reader.sub(static_cast<std::size_t>(total_len) - 19);
-
-  bgp::UpdateMessage update;
-  update.sender = sender;
-  ByteReader withdrawn = body.sub(body.u16());
-  while (!withdrawn.done()) {
-    update.withdrawn.push_back(read_nlri_prefix(withdrawn, net::IpFamily::kIpv4));
-  }
-  ByteReader attrs = body.sub(body.u16());
-  MpNlriScratch mp;
-  if (attrs.remaining() > 0) {
-    std::vector<bgp::Asn> hops;
-    std::vector<bgp::Asn> as4;
-    decode_path_attributes_into(attrs, update.attrs, two_byte_as_path, hops, as4, &mp);
-  }
-  while (!body.done()) {
-    update.announced.push_back(read_nlri_prefix(body, net::IpFamily::kIpv4));
-  }
-  // MP NLRI append after the classic fields: a decoded update lists its
-  // v4 prefixes first, v6 second (the importer emits the same order).
-  update.announced.insert(update.announced.end(), mp.announced.begin(),
-                          mp.announced.end());
-  update.withdrawn.insert(update.withdrawn.end(), mp.withdrawn.begin(),
-                          mp.withdrawn.end());
-  return update;
-}
-
 void write_raw_record(ByteWriter& writer, RecordType type, std::uint16_t subtype,
                       SimTime timestamp, std::span<const std::uint8_t> body) {
   const auto micros = timestamp.as_micros();
@@ -497,26 +452,6 @@ void write_raw_record(ByteWriter& writer, RecordType type, std::uint16_t subtype
     writer.u32(static_cast<std::uint32_t>(body.size()));
   }
   writer.bytes(body);
-}
-
-std::optional<RawRecord> read_raw_record(ByteReader& reader) {
-  if (reader.done()) return std::nullopt;
-  RawRecord rec;
-  const std::uint32_t seconds = reader.u32();
-  rec.type = reader.u16();
-  rec.subtype = reader.u16();
-  std::uint32_t length = reader.u32();
-  std::uint32_t micros = 0;
-  if (rec.type == static_cast<std::uint16_t>(RecordType::kBgp4mpEt)) {
-    if (length < 4) throw DecodeError("ET record too short");
-    micros = reader.u32();
-    length -= 4;
-  }
-  rec.timestamp =
-      SimTime::at_micros(static_cast<std::int64_t>(seconds) * 1'000'000 + micros);
-  const auto body = reader.bytes(length);
-  rec.body.assign(body.begin(), body.end());
-  return rec;
 }
 
 namespace {
@@ -578,35 +513,6 @@ std::vector<std::uint8_t> encode_update_record_as_set(const UpdateRecord& rec) {
   UpdateEncodeOptions options;
   options.as_set_path = true;
   return encode_update_record(rec, options);
-}
-
-UpdateRecord decode_update_record(const RawRecord& raw) {
-  if (raw.type != static_cast<std::uint16_t>(RecordType::kBgp4mpEt) &&
-      raw.type != static_cast<std::uint16_t>(RecordType::kBgp4mp)) {
-    throw DecodeError("not a BGP4MP record");
-  }
-  const bool as4 = raw.subtype == static_cast<std::uint16_t>(Bgp4mpSubtype::kMessageAs4);
-  if (!as4 && raw.subtype != static_cast<std::uint16_t>(Bgp4mpSubtype::kMessage)) {
-    throw DecodeError("unsupported BGP4MP subtype");
-  }
-  ByteReader r(raw.body);
-  UpdateRecord rec;
-  rec.timestamp = raw.timestamp;
-  rec.peer_asn = as4 ? r.u32() : r.u16();
-  rec.local_asn = as4 ? r.u32() : r.u16();
-  r.u16();  // interface index
-  const std::uint16_t afi = r.u16();
-  if (afi != 1 && afi != 2) throw DecodeError("bad BGP4MP address family");
-  if (afi == 1) {
-    rec.peer_ip = net::IpAddress::v4(r.u32());
-    r.u32();  // local IP
-  } else {
-    rec.peer_ip = net::IpAddress::from_bytes(net::IpFamily::kIpv6, r.bytes(16).data());
-    r.bytes(16);  // local IP
-  }
-  rec.update = decode_bgp_update(r, rec.peer_asn, /*two_byte_as_path=*/!as4);
-  rec.update.sent_at = rec.timestamp;
-  return rec;
 }
 
 std::vector<std::uint8_t> encode_table_dump(const std::vector<RibEntryRecord>& entries,

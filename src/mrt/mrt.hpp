@@ -1,4 +1,5 @@
-// MRT (RFC 6396) record encoding/decoding.
+// MRT (RFC 6396) record encoding, plus the decode primitives the
+// converter shares.
 //
 // Legacy pipelines the paper compares against (RouteViews / RIPE RIS
 // archives) ship BGP data as MRT files: BGP4MP_ET message records for
@@ -13,12 +14,13 @@
 //     distinguisher are stripped back to the bare prefix)
 //   * TABLE_DUMP_V2 / RIB_IPV4_UNICAST + RIB_IPV6_UNICAST with an inline
 //     peer index
-// The BatchFeed uses these files verbatim; bench_micro measures codec
-// throughput.
+// Simulated archives (BatchFeed), fixtures and benches write these
+// records. Reading them back has exactly one home: ObservationConverter
+// (mrt/observation_convert.hpp), built on the attribute and NLRI
+// primitives below.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "bgp/update.hpp"
@@ -52,20 +54,12 @@ inline constexpr bgp::Asn kAsTrans = 23456;
 
 /// Thrown for record shapes this implementation recognizes but does not
 /// model (an AS_SET path segment, an MP AFI/SAFI other than v4/v6
-/// unicast or labeled VPN). Derives from DecodeError so legacy callers keep their
-/// fail-the-stream behavior; the streaming importer catches it first and
-/// skips just the offending record (ConvertFileStats::skipped_records).
+/// unicast or labeled VPN). Derives from DecodeError; the converter
+/// catches it first and skips just the offending record
+/// (ConvertFileStats::skipped_records).
 class UnsupportedRecord : public DecodeError {
  public:
   explicit UnsupportedRecord(const std::string& what) : DecodeError(what) {}
-};
-
-/// A decoded MRT record header plus raw body.
-struct RawRecord {
-  SimTime timestamp;  ///< seconds + (for *_ET) microseconds
-  std::uint16_t type = 0;
-  std::uint16_t subtype = 0;
-  std::vector<std::uint8_t> body;
 };
 
 /// A BGP4MP update record: who exchanged the message and the message.
@@ -128,20 +122,12 @@ std::vector<std::uint8_t> encode_update_record_as2(const UpdateRecord& rec,
 /// feed on it — decoding it throws UnsupportedRecord.
 std::vector<std::uint8_t> encode_update_record_as_set(const UpdateRecord& rec);
 
-/// Decodes the body of a BGP4MP_ET/MESSAGE or MESSAGE_AS4 record
-/// (2-byte AS_PATHs are AS4_PATH-merged per RFC 6793 §4.2.3).
-UpdateRecord decode_update_record(const RawRecord& raw);
-
 /// Encodes a full TABLE_DUMP_V2 snapshot: one PEER_INDEX_TABLE record
 /// followed by one RIB_IPV4_UNICAST / RIB_IPV6_UNICAST record per entry
 /// (subtype chosen by each prefix's family). `snapshot_time` is stamped
 /// on every record.
 std::vector<std::uint8_t> encode_table_dump(const std::vector<RibEntryRecord>& entries,
                                             SimTime snapshot_time);
-
-/// Reads the next raw record off a byte stream; nullopt at clean EOF,
-/// DecodeError on a truncated record.
-std::optional<RawRecord> read_raw_record(ByteReader& reader);
 
 /// Writes the MRT common header followed by `body`.
 void write_raw_record(ByteWriter& writer, RecordType type, std::uint16_t subtype,
@@ -151,16 +137,10 @@ void write_raw_record(ByteWriter& writer, RecordType type, std::uint16_t subtype
 /// MRT envelope. Exposed for tests and for the codec microbenchmarks.
 std::vector<std::uint8_t> encode_bgp_update(const bgp::UpdateMessage& update,
                                             const UpdateEncodeOptions& options = {});
-/// Decodes a BGP UPDATE. MP_REACH/MP_UNREACH NLRI are appended to
-/// `announced`/`withdrawn` after the classic v4 fields, so a decoded
-/// update carries its v4 prefixes first and its v6 prefixes second.
-bgp::UpdateMessage decode_bgp_update(ByteReader& reader, bgp::Asn sender,
-                                     bool two_byte_as_path = false);
 
-/// Path-attribute codec shared by UPDATE bodies and TABLE_DUMP_V2 RIB
+/// Path-attribute encoder shared by UPDATE bodies and TABLE_DUMP_V2 RIB
 /// entries (both use the RFC 4271 attribute encoding).
 void encode_path_attributes(ByteWriter& writer, const bgp::PathAttributes& attrs);
-bgp::PathAttributes decode_path_attributes(ByteReader& attrs_reader);
 
 /// NLRI prefix codec (RFC 4271 §4.3 <length, prefix> tuples), shared by
 /// UPDATE bodies, TABLE_DUMP_V2 RIB records and the streaming importer.

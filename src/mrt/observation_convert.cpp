@@ -1,13 +1,6 @@
 #include "mrt/observation_convert.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 
 #include "mrt/stream_reader.hpp"
 
@@ -21,61 +14,6 @@ constexpr std::uint8_t kBgpMsgUpdate = 2;
 /// is corruption, and bounding it keeps the chunk-boundary carry buffer
 /// from ballooning on garbage input.
 constexpr std::uint64_t kMaxRecordBytes = 64ull * 1024 * 1024;
-
-/// Read-only view of one input file: mmap'd when possible (a full RIB
-/// snapshot is gigabytes — the converter only ever looks at one record,
-/// so the page cache streams it through in O(1) resident memory), plain
-/// read fallback for filesystems without mmap.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw std::runtime_error("cannot open MRT file: " + path);
-    struct ::stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      throw std::runtime_error("cannot stat MRT file: " + path);
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ > 0) {
-      void* p = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (p != MAP_FAILED) {
-        data_ = static_cast<const std::uint8_t*>(p);
-        mapped_ = true;
-        // The importer walks strictly forward.
-        ::madvise(p, size_, MADV_SEQUENTIAL);
-      } else {
-        owned_.resize(size_);
-        std::size_t off = 0;
-        while (off < size_) {
-          const ::ssize_t n = ::read(fd, owned_.data() + off, size_ - off);
-          if (n <= 0) {
-            ::close(fd);
-            throw std::runtime_error("cannot read MRT file: " + path);
-          }
-          off += static_cast<std::size_t>(n);
-        }
-        data_ = owned_.data();
-      }
-    }
-    ::close(fd);
-  }
-
-  ~MappedFile() {
-    if (mapped_) ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  std::span<const std::uint8_t> view() const { return {data_, size_}; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint8_t> owned_;
-};
 
 std::uint16_t be16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
@@ -166,8 +104,7 @@ void ObservationConverter::convert_bgp4mp(ByteReader body, bool as4,
     mp_scratch_.clear();
   }
   // Announcements before withdrawals within a record, v4 (classic fields)
-  // before v6 (MP attributes) within each — the ElemReader /
-  // libBGPStream order the equivalence tests rely on.
+  // before v6 (MP attributes) within each — the libBGPStream elem order.
   while (!msg.done()) {
     const net::Prefix prefix = read_nlri_prefix(msg, net::IpFamily::kIpv4);
     feeds::Observation& obs = slot(feeds::ObservationType::kAnnouncement, peer, event_us);
@@ -381,33 +318,17 @@ MrtImportResult import_mrt_files(std::span<const std::string> paths,
   ObservationConverter converter(options);
   const feeds::ObservationBatchHandler sink = writer.tap();
   for (const auto& path : paths) {
-    ConvertFileStats stats;
-    std::string transport_error;
-    const MappedFile file(path);
-    const Compression compression = sniff_compression(file.view());
-    if (compression == Compression::kNone) {
-      // Uncompressed: one zero-copy pass over the mmap'd file.
-      stats = converter.convert_file(file.view(), sink);
-    } else {
-      // Compressed transport: stream decompressed chunks through the
-      // converter — no temp file, O(chunk) resident memory. A torn or
-      // corrupt compressed stream imports everything recovered before
-      // the tear and counts as a truncated file. The sniff above is
-      // reused, so the codec re-opens the path exactly once.
-      const auto in = open_input(path, compression);
-      std::vector<std::uint8_t> buf(1 << 20);
-      converter.begin_file();
-      for (;;) {
-        const std::size_t n = in->read(buf);
-        if (n == 0) break;
-        converter.feed({buf.data(), n}, sink);
-      }
-      stats = converter.finish_file(sink);
-      if (in->truncated() && stats.error.empty()) {
-        stats.truncated = true;
-        transport_error = in->error();
-      }
-    }
+    // One streaming pass per file whatever its transport: the
+    // decompressor (identity for raw MRT) hands bounded chunks to the
+    // converter, which carries records that straddle them — no temp
+    // file, O(chunk) resident memory. A torn or corrupt compressed
+    // stream imports everything recovered before the tear and counts as
+    // a truncated file, even when the tear fell on a record boundary.
+    converter.begin_file();
+    const std::string transport_error = decompress_file(
+        path, [&](std::span<const std::uint8_t> chunk) { converter.feed(chunk, sink); });
+    ConvertFileStats stats = converter.finish_file(sink);
+    if (!transport_error.empty() && stats.error.empty()) stats.truncated = true;
     result.records += stats.records;
     result.skipped_records += stats.skipped_records;
     result.observations += stats.observations;

@@ -2,8 +2,10 @@
 //
 // Archived control-plane history (RouteViews / RIPE RIS windows) arrives
 // as MRT files; replaying it through ARTEMIS at line rate needs a
-// decoder that does NOT materialize intermediate vectors per record the
-// way ElemReader does. ObservationConverter walks one MRT byte stream
+// decoder that does NOT materialize intermediate vectors per record.
+// ObservationConverter is the one MRT decoder: archive imports, HTTP
+// ingest, the simulated archive feeds (feeds::BatchFeed) and offline
+// trace analysis all read MRT through it. It walks one MRT byte stream
 // record by record, decodes BGP4MP updates (2- and 4-byte AS flavors,
 // AS4_PATH merged) and TABLE_DUMP_V2 RIB snapshots (IPv4 + IPv6)
 // directly into recycled slots of an internal ObservationBatch, and
@@ -176,10 +178,11 @@ struct MrtImportResult {
 /// JournalWriter) and closes it. Files are imported in argument order;
 /// truncated or malformed files contribute their complete records and
 /// are tallied, so the resulting journal is always clean and readable.
-/// gzip'd and bzip2'd files are decompressed transparently (sniffed by
-/// magic, streamed in O(chunk) memory — see mrt/stream_reader.hpp); a
-/// torn compressed stream imports every record recovered before the tear
-/// and counts as a truncated file.
+/// Every file streams through mrt::decompress_file, so gzip'd and
+/// bzip2'd files are decompressed transparently (sniffed by magic,
+/// O(chunk) memory); a torn compressed stream imports every record
+/// recovered before the tear and counts as a truncated file, with the
+/// transport's error text in file_errors.
 /// Throws journal::JournalError (unwritable dir, foreign journal) or
 /// std::runtime_error (unreadable input file).
 MrtImportResult import_mrt_files(std::span<const std::string> paths,

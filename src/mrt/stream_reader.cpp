@@ -1,11 +1,6 @@
 #include "mrt/stream_reader.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -31,210 +26,10 @@ Compression sniff_compression(std::span<const std::uint8_t> head) {
 
 namespace {
 
-/// Raw file bytes via read(2); owns the descriptor.
-class FdSource {
- public:
-  explicit FdSource(const std::string& path)
-      : fd_(::open(path.c_str(), O_RDONLY)), path_(path) {
-    if (fd_ < 0) throw std::runtime_error("cannot open MRT file: " + path);
-  }
-  ~FdSource() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  FdSource(const FdSource&) = delete;
-  FdSource& operator=(const FdSource&) = delete;
-
-  std::size_t read(std::span<std::uint8_t> buf) {
-    std::size_t off = 0;
-    while (off < buf.size()) {
-      const ::ssize_t n = ::read(fd_, buf.data() + off, buf.size() - off);
-      if (n == 0) break;
-      if (n < 0) {
-        if (errno == EINTR) continue;  // signal mid-import: retry, not abort
-        throw std::runtime_error("cannot read MRT file: " + path_);
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return off;
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  int fd_;
-  std::string path_;
-};
-
-class RawInput final : public InputStream {
- public:
-  explicit RawInput(const std::string& path) : src_(path) {}
-  std::size_t read(std::span<std::uint8_t> buf) override { return src_.read(buf); }
-
- private:
-  FdSource src_;
-};
-
+/// Decompressed-output buffer of the codec decoders.
 constexpr std::size_t kCompressedChunk = 256 * 1024;
-
-#ifdef ARTEMIS_HAVE_ZLIB
-class GzipInput final : public InputStream {
- public:
-  explicit GzipInput(const std::string& path) : src_(path), in_(kCompressedChunk) {
-    zs_.zalloc = Z_NULL;
-    zs_.zfree = Z_NULL;
-    zs_.opaque = Z_NULL;
-    // 15 + 32: max window, auto-detect zlib vs gzip wrapper.
-    if (inflateInit2(&zs_, 15 + 32) != Z_OK) {
-      throw std::runtime_error("inflateInit failed for " + path);
-    }
-  }
-  ~GzipInput() override { inflateEnd(&zs_); }
-
-  std::size_t read(std::span<std::uint8_t> buf) override {
-    zs_.next_out = buf.data();
-    zs_.avail_out = static_cast<uInt>(buf.size());
-    while (zs_.avail_out > 0 && !done_) {
-      if (zs_.avail_in == 0 && !eof_) refill();
-      const int r = inflate(&zs_, Z_NO_FLUSH);
-      if (r == Z_STREAM_END) {
-        // Concatenated members (pigz, split-and-cat mirrors): if the next
-        // bytes open another gzip member, keep inflating; trailing
-        // non-member bytes are ignored like gzip(1) does. refill()
-        // preserves undrained input, so a member boundary straddling a
-        // read is still detected.
-        if (zs_.avail_in < 2 && !eof_) refill();
-        if (zs_.avail_in >= 2 && zs_.next_in[0] == 0x1F && zs_.next_in[1] == 0x8B) {
-          if (inflateReset(&zs_) != Z_OK) {
-            tear("gzip member reset failed");
-            break;
-          }
-          continue;
-        }
-        done_ = true;
-      } else if (r == Z_OK) {
-        if (zs_.avail_in == 0 && eof_ && zs_.avail_out > 0) {
-          tear("gzip stream truncated");  // mid-member EOF
-        }
-      } else if (r == Z_BUF_ERROR && zs_.avail_in == 0 && eof_) {
-        tear("gzip stream truncated");
-      } else {
-        tear(zs_.msg != nullptr ? zs_.msg : "gzip stream corrupt");
-      }
-    }
-    return buf.size() - zs_.avail_out;
-  }
-
- private:
-  void refill() {
-    // Preserve undrained input: a member boundary can straddle reads.
-    const std::size_t keep = zs_.avail_in;
-    if (keep > 0 && zs_.next_in != in_.data()) {
-      std::memmove(in_.data(), zs_.next_in, keep);
-    }
-    const std::size_t n = src_.read({in_.data() + keep, in_.size() - keep});
-    zs_.next_in = in_.data();
-    zs_.avail_in = static_cast<uInt>(keep + n);
-    eof_ = n == 0;
-  }
-  void tear(const std::string& what) {
-    truncated_ = true;
-    error_ = what;
-    done_ = true;
-  }
-
-  FdSource src_;
-  std::vector<std::uint8_t> in_;
-  z_stream zs_ = {};
-  bool eof_ = false;
-  bool done_ = false;
-};
-#endif  // ARTEMIS_HAVE_ZLIB
-
-#ifdef ARTEMIS_HAVE_BZIP2
-class Bz2Input final : public InputStream {
- public:
-  explicit Bz2Input(const std::string& path) : src_(path), in_(kCompressedChunk) {
-    if (BZ2_bzDecompressInit(&bzs_, 0, 0) != BZ_OK) {
-      throw std::runtime_error("bzDecompressInit failed for " + path);
-    }
-  }
-  ~Bz2Input() override { BZ2_bzDecompressEnd(&bzs_); }
-
-  std::size_t read(std::span<std::uint8_t> buf) override {
-    bzs_.next_out = reinterpret_cast<char*>(buf.data());
-    bzs_.avail_out = static_cast<unsigned>(buf.size());
-    while (bzs_.avail_out > 0 && !done_) {
-      if (bzs_.avail_in == 0 && !eof_) refill();
-      const int r = BZ2_bzDecompress(&bzs_);
-      if (r == BZ_STREAM_END) {
-        // Multi-stream files (pbzip2): restart on a following "BZh<1-9>".
-        // refill() preserves undrained input across the boundary.
-        if (bzs_.avail_in < 4 && !eof_) refill();
-        if (bzs_.avail_in >= 4 && bzs_.next_in[0] == 'B' && bzs_.next_in[1] == 'Z' &&
-            bzs_.next_in[2] == 'h' && bzs_.next_in[3] >= '1' && bzs_.next_in[3] <= '9') {
-          char* carry_in = bzs_.next_in;
-          const unsigned carry_avail = bzs_.avail_in;
-          char* carry_out = bzs_.next_out;
-          const unsigned carry_out_avail = bzs_.avail_out;
-          BZ2_bzDecompressEnd(&bzs_);
-          bzs_ = {};
-          const int init = BZ2_bzDecompressInit(&bzs_, 0, 0);
-          // Restore the output cursor either way: the wiped struct must
-          // not make `buf.size() - avail_out` over-report written bytes.
-          bzs_.next_out = carry_out;
-          bzs_.avail_out = carry_out_avail;
-          if (init != BZ_OK) {
-            tear("bzip2 stream reset failed");
-            break;
-          }
-          bzs_.next_in = carry_in;
-          bzs_.avail_in = carry_avail;
-          continue;
-        }
-        done_ = true;
-      } else if (r == BZ_OK) {
-        if (bzs_.avail_in == 0 && eof_ && bzs_.avail_out > 0) {
-          tear("bzip2 stream truncated");
-        }
-      } else {
-        tear("bzip2 stream corrupt");
-      }
-    }
-    return buf.size() - bzs_.avail_out;
-  }
-
- private:
-  void refill() {
-    const std::size_t keep = bzs_.avail_in;
-    if (keep > 0 &&
-        bzs_.next_in != reinterpret_cast<char*>(in_.data())) {
-      std::memmove(in_.data(), bzs_.next_in, keep);
-    }
-    const std::size_t n = src_.read({in_.data() + keep, in_.size() - keep});
-    bzs_.next_in = reinterpret_cast<char*>(in_.data());
-    bzs_.avail_in = static_cast<unsigned>(keep + n);
-    eof_ = n == 0;
-  }
-  void tear(const std::string& what) {
-    truncated_ = true;
-    error_ = what;
-    done_ = true;
-  }
-
-  FdSource src_;
-  std::vector<std::uint8_t> in_;
-  bz_stream bzs_ = {};
-  bool eof_ = false;
-  bool done_ = false;
-};
-#endif  // ARTEMIS_HAVE_BZIP2
-
-Compression sniff_file(const std::string& path) {
-  FdSource src(path);
-  std::uint8_t head[4] = {};
-  const std::size_t n = src.read(head);
-  return sniff_compression({head, n});
-}
+/// One bounded read of decompress_file.
+constexpr std::size_t kFileChunk = 1 << 20;
 
 // -------------------------------------------------- push-mode decompression
 
@@ -253,8 +48,8 @@ class IdentityChunk final : public ChunkDecompressor {
 /// fed directly from the caller's chunk, draining into one reusable
 /// output buffer; member/stream boundaries may straddle chunks, so up to
 /// magic-length bytes are carried while deciding "next member or
-/// trailing garbage". Tears follow the InputStream contract (flag, not
-/// throw) — both decoders only differ in the codec calls.
+/// trailing garbage". Tears set a flag, never throw; the two decoders
+/// only differ in the codec calls.
 template <typename Derived>
 class CodecChunkBase : public ChunkDecompressor {
  public:
@@ -460,29 +255,26 @@ std::unique_ptr<ChunkDecompressor> make_chunk_decompressor(Compression compressi
   return std::make_unique<IdentityChunk>();
 }
 
-std::unique_ptr<InputStream> open_input(const std::string& path) {
-  return open_input(path, sniff_file(path));
-}
-
-std::unique_ptr<InputStream> open_input(const std::string& path,
-                                        Compression compression) {
-  switch (compression) {
-    case Compression::kGzip:
-#ifdef ARTEMIS_HAVE_ZLIB
-      return std::make_unique<GzipInput>(path);
-#else
-      throw std::runtime_error("gzip input but built without zlib: " + path);
-#endif
-    case Compression::kBzip2:
-#ifdef ARTEMIS_HAVE_BZIP2
-      return std::make_unique<Bz2Input>(path);
-#else
-      throw std::runtime_error("bzip2 input but built without libbz2: " + path);
-#endif
-    case Compression::kNone:
-      break;
+std::string decompress_file(const std::string& path,
+                            const ChunkDecompressor::Output& out) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot open " + path);
+  std::vector<std::uint8_t> buf(kFileChunk);
+  std::unique_ptr<ChunkDecompressor> codec;
+  for (;;) {
+    file.read(reinterpret_cast<char*>(buf.data()),
+              static_cast<std::streamsize>(buf.size()));
+    const auto n = static_cast<std::size_t>(file.gcount());
+    if (file.bad()) throw std::runtime_error("cannot read " + path);
+    if (n == 0) break;
+    // The first read holds min(file size, kFileChunk) bytes: the magic.
+    if (!codec) codec = make_chunk_decompressor(sniff_compression({buf.data(), n}));
+    // false: torn, or trailing non-member bytes — either way, done.
+    if (!codec->feed({buf.data(), n}, out)) break;
   }
-  return std::make_unique<RawInput>(path);
+  if (!codec) return {};  // empty file
+  codec->finish(out);
+  return codec->error();
 }
 
 #ifdef ARTEMIS_HAVE_ZLIB
@@ -520,147 +312,5 @@ std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> in, int le
   return out;
 }
 #endif  // ARTEMIS_HAVE_ZLIB
-
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  const auto in = open_input(path);
-  std::vector<std::uint8_t> out;
-  std::vector<std::uint8_t> buf(1 << 20);
-  for (;;) {
-    const std::size_t n = in->read(buf);
-    if (n == 0) break;
-    out.insert(out.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  if (in->truncated()) {
-    throw std::runtime_error("compressed stream torn in " + path + ": " + in->error());
-  }
-  return out;
-}
-
-std::string_view to_string(ElemType t) {
-  switch (t) {
-    case ElemType::kAnnounce: return "A";
-    case ElemType::kWithdraw: return "W";
-    case ElemType::kRibEntry: return "R";
-  }
-  return "?";
-}
-
-std::string BgpElem::to_string() const {
-  std::string out(mrt::to_string(type));
-  out += "|" + timestamp.to_string();
-  out += "|AS" + std::to_string(peer_asn);
-  out += "|" + prefix.to_string();
-  if (type != ElemType::kWithdraw) {
-    out += "|[" + attrs.as_path.to_string() + "]";
-  }
-  return out;
-}
-
-void ElemReader::load_record() {
-  while (pending_.empty()) {
-    const auto raw = read_raw_record(reader_);
-    if (!raw) return;  // end of stream
-    if (raw->type == static_cast<std::uint16_t>(RecordType::kBgp4mpEt) ||
-        raw->type == static_cast<std::uint16_t>(RecordType::kBgp4mp)) {
-      const UpdateRecord rec = decode_update_record(*raw);
-      // Emit announcements before withdrawals within a record (mirrors
-      // libBGPStream). pending_ is drained from the back, so push in the
-      // desired order and reverse.
-      for (const auto& p : rec.update.announced) {
-        BgpElem e;
-        e.type = ElemType::kAnnounce;
-        e.timestamp = rec.timestamp;
-        e.peer_asn = rec.peer_asn;
-        e.prefix = p;
-        e.attrs = rec.update.attrs;
-        pending_.push_back(std::move(e));
-      }
-      for (const auto& p : rec.update.withdrawn) {
-        BgpElem e;
-        e.type = ElemType::kWithdraw;
-        e.timestamp = rec.timestamp;
-        e.peer_asn = rec.peer_asn;
-        e.prefix = p;
-        pending_.push_back(std::move(e));
-      }
-      std::reverse(pending_.begin(), pending_.end());
-    } else if (raw->type == static_cast<std::uint16_t>(RecordType::kTableDumpV2)) {
-      ByteReader body(raw->body);
-      if (raw->subtype ==
-          static_cast<std::uint16_t>(TableDumpV2Subtype::kPeerIndexTable)) {
-        body.u32();  // collector BGP ID
-        const std::uint16_t name_len = body.u16();
-        body.bytes(name_len);
-        const std::uint16_t count = body.u16();
-        peer_table_.clear();
-        peer_table_.reserve(count);
-        for (int i = 0; i < count; ++i) {
-          const std::uint8_t peer_type = body.u8();
-          body.u32();  // BGP ID
-          body.bytes((peer_type & 0x01) != 0 ? 16 : 4);  // peer IP
-          peer_table_.push_back((peer_type & 0x02) != 0 ? body.u32() : body.u16());
-        }
-      } else if (raw->subtype ==
-                     static_cast<std::uint16_t>(TableDumpV2Subtype::kRibIpv4Unicast) ||
-                 raw->subtype ==
-                     static_cast<std::uint16_t>(TableDumpV2Subtype::kRibIpv6Unicast)) {
-        const auto family =
-            raw->subtype == static_cast<std::uint16_t>(TableDumpV2Subtype::kRibIpv4Unicast)
-                ? net::IpFamily::kIpv4
-                : net::IpFamily::kIpv6;
-        body.u32();  // sequence
-        const int plen = body.u8();
-        if (plen > net::family_bits(family)) {
-          throw DecodeError("RIB prefix length out of range");
-        }
-        std::uint8_t buf[16] = {};
-        const auto raw_prefix = body.bytes(static_cast<std::size_t>((plen + 7) / 8));
-        std::memcpy(buf, raw_prefix.data(), raw_prefix.size());
-        const net::Prefix prefix(net::IpAddress::from_bytes(family, buf), plen);
-        const std::uint16_t entry_count = body.u16();
-        for (int i = 0; i < entry_count; ++i) {
-          const std::uint16_t peer_index = body.u16();
-          if (peer_index >= peer_table_.size()) {
-            throw DecodeError("RIB entry references unknown peer");
-          }
-          const std::uint32_t originated = body.u32();
-          ByteReader attrs_reader = body.sub(body.u16());
-          BgpElem e;
-          e.type = ElemType::kRibEntry;
-          e.timestamp = SimTime::at_seconds(originated);
-          e.peer_asn = peer_table_[peer_index];
-          e.prefix = prefix;
-          // RIB entries carry the same attribute encoding as UPDATEs.
-          e.attrs = decode_path_attributes(attrs_reader);
-          pending_.push_back(std::move(e));
-        }
-        std::reverse(pending_.begin(), pending_.end());
-      }
-      // Unknown TABLE_DUMP_V2 subtypes are skipped silently.
-    }
-    // Unknown record types are skipped silently (forward compatibility).
-  }
-}
-
-std::optional<BgpElem> ElemReader::next() {
-  if (pending_.empty()) load_record();
-  if (pending_.empty()) return std::nullopt;
-  BgpElem e = std::move(pending_.back());
-  pending_.pop_back();
-  return e;
-}
-
-std::vector<BgpElem> read_elems(std::span<const std::uint8_t> data) {
-  ElemReader reader(data);
-  std::vector<BgpElem> out;
-  while (auto e = reader.next()) out.push_back(std::move(*e));
-  return out;
-}
-
-std::vector<BgpElem> read_elems_from_file(const std::string& path) {
-  // Transparent decompression: archived update windows ship gzip'd, RIB
-  // snapshots bzip2'd; the elem layer never sees the transport.
-  return read_elems(read_file_bytes(path));
-}
 
 }  // namespace artemis::mrt

@@ -1,33 +1,23 @@
-// A BGPStream-style element reader over MRT byte streams.
+// Transparent decompression for MRT archives and cold journal segments.
 //
-// libBGPStream exposes BGP data as a flat sequence of "elems" (announce /
-// withdraw / RIB entries), regardless of the underlying record framing.
-// This reader provides the same abstraction over this module's MRT
-// encoding: BGP4MP updates fan out into one elem per announced/withdrawn
-// prefix, TABLE_DUMP_V2 snapshots fan out into one RIB elem per entry
-// (peer index table handled internally).
+// Archived RouteViews/RIS windows ship gzip'd (updates) or bzip2'd (RIB
+// snapshots), and sealed journal segments may be stored gzip'd. This
+// layer makes compression a transport detail: one push-mode decompressor
+// serves every transport — the ingest supervisor's HTTP body one socket
+// read at a time, a file on disk one bounded read at a time
+// (decompress_file) — streaming, no temp files, O(chunk) resident
+// memory. Compression is sniffed from magic bytes, never file extensions
+// (mirrors on object stores rename freely).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "bgp/route.hpp"
-#include "mrt/mrt.hpp"
-
 namespace artemis::mrt {
-
-// ------------------------------------------------------------ transport
-//
-// Archived RouteViews/RIS windows ship gzip'd (updates) or bzip2'd (RIB
-// snapshots). This layer makes compression a transport detail: open a
-// path, get decompressed MRT bytes — streaming, no temp files, O(chunk)
-// resident memory. Compression is sniffed from magic bytes, never file
-// extensions (mirrors on object stores rename freely).
 
 enum class Compression : std::uint8_t { kNone, kGzip, kBzip2 };
 
@@ -35,43 +25,12 @@ enum class Compression : std::uint8_t { kNone, kGzip, kBzip2 };
 /// digit).
 Compression sniff_compression(std::span<const std::uint8_t> head);
 
-/// A pull source of decompressed bytes. A torn or corrupt compressed
-/// stream is NOT an exception: read() returns what was recovered, then 0,
-/// with truncated() set — the MRT record layer treats the tail exactly
-/// like an interrupted download of an uncompressed file.
-class InputStream {
- public:
-  virtual ~InputStream() = default;
-
-  /// Fills up to buf.size() bytes; 0 means end of stream.
-  virtual std::size_t read(std::span<std::uint8_t> buf) = 0;
-
-  bool truncated() const { return truncated_; }
-  const std::string& error() const { return error_; }
-
- protected:
-  bool truncated_ = false;
-  std::string error_;  ///< non-empty iff truncated(): what tore
-};
-
-/// Opens `path` with transparent decompression (sniffed, streaming).
-/// Throws std::runtime_error if the file cannot be opened, or if it is
-/// compressed and the binary was built without the matching library.
-std::unique_ptr<InputStream> open_input(const std::string& path);
-
-/// Same, with the compression already known (a caller that sniffed the
-/// leading bytes itself skips the extra open+read here).
-std::unique_ptr<InputStream> open_input(const std::string& path,
-                                        Compression compression);
-
-/// Push-mode peer of InputStream, for transports that deliver bytes to
-/// us instead of being pulled from a file — the ingest supervisor's HTTP
-/// body arrives one socket read at a time. Same tear contract as the
-/// whole-file path: a torn or corrupt stream is NOT an exception. The
+/// Push-mode decompression: the transport delivers bytes to us. A torn
+/// or corrupt compressed stream is NOT an exception. The
 /// already-recovered prefix has been delivered to `out`, truncated() is
-/// set, and further input is ignored — so a chunk-fed import recovers
-/// exactly what the pull-based import of the same bytes would
-/// (tests/mrt_import_test.cpp pins the equivalence).
+/// set, and further input is ignored — the MRT record layer then treats
+/// the tail exactly like an interrupted download of an uncompressed file,
+/// and each caller applies its own tear policy.
 class ChunkDecompressor {
  public:
   using Output = std::function<void(std::span<const std::uint8_t>)>;
@@ -101,63 +60,27 @@ class ChunkDecompressor {
   std::string error_;  ///< non-empty iff truncated(): what tore
 };
 
-/// Push-mode peer of open_input. Throws std::runtime_error for a
-/// compression whose library this binary was built without.
+/// Throws std::runtime_error for a compression whose library this binary
+/// was built without.
 std::unique_ptr<ChunkDecompressor> make_chunk_decompressor(Compression compression);
+
+/// Streams the file at `path` through a decompressor for its sniffed
+/// compression (kNone forwards the bytes unchanged) and delivers the
+/// plaintext to `out`. The file is fed in bounded reads — zlib's
+/// avail_in is 32-bit, so one multi-GiB span would wrap — and never held
+/// whole in memory. Returns the tear description: empty when the stream
+/// is complete, else what tore (the recovered prefix has already been
+/// delivered). Throws std::runtime_error when the file cannot be opened
+/// or read, or needs a codec this build lacks.
+std::string decompress_file(const std::string& path,
+                            const ChunkDecompressor::Output& out);
 
 #ifdef ARTEMIS_HAVE_ZLIB
 /// Deterministic single-member gzip (mtime 0, no name: the output
 /// depends only on the input bytes, the level and the zlib version).
-/// Fixture tooling today; the journal cold-segment archiver tomorrow.
+/// Fixture tooling and the journal's cold-segment archiver.
 std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> in,
                                         int level = 9);
 #endif
-
-/// Whole-file convenience: reads and transparently decompresses. A torn
-/// or corrupt compressed stream throws std::runtime_error — a record-
-/// boundary tear would otherwise be indistinguishable from a complete
-/// file. (The streaming importer keeps its recover-the-prefix behavior
-/// by driving InputStream directly and checking truncated().)
-std::vector<std::uint8_t> read_file_bytes(const std::string& path);
-
-enum class ElemType : std::uint8_t { kAnnounce, kWithdraw, kRibEntry };
-
-std::string_view to_string(ElemType t);
-
-/// One flattened BGP observation (the unit the detection service consumes).
-struct BgpElem {
-  ElemType type = ElemType::kAnnounce;
-  SimTime timestamp;
-  bgp::Asn peer_asn = bgp::kNoAsn;  ///< vantage point that observed it
-  net::Prefix prefix;
-  /// Valid for kAnnounce / kRibEntry.
-  bgp::PathAttributes attrs;
-
-  bgp::Asn origin_as() const { return attrs.as_path.origin_as(); }
-  std::string to_string() const;
-};
-
-/// Iterates elems over an in-memory MRT stream.
-class ElemReader {
- public:
-  explicit ElemReader(std::span<const std::uint8_t> data) : reader_(data) {}
-
-  /// Next elem, or nullopt at end of stream. Throws DecodeError on
-  /// malformed input.
-  std::optional<BgpElem> next();
-
- private:
-  void load_record();
-
-  ByteReader reader_;
-  std::vector<BgpElem> pending_;  // elems of the current record, reversed
-  std::vector<bgp::Asn> peer_table_;
-};
-
-/// Reads every elem of an MRT file. Throws DecodeError / std::runtime_error.
-std::vector<BgpElem> read_elems_from_file(const std::string& path);
-
-/// Convenience: decode all elems from a buffer.
-std::vector<BgpElem> read_elems(std::span<const std::uint8_t> data);
 
 }  // namespace artemis::mrt

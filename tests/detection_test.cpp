@@ -155,8 +155,7 @@ TEST(DetectionTest, DuplicateObservationsDeduplicated) {
   detector.process(make_obs("10.0.0.0/23", {8, 666}, "bgpmon", 8, 105));
   detector.process(make_obs("10.0.0.0/23", {7, 300, 666}, "ris-live", 7, 110));
   ASSERT_EQ(detector.alerts().size(), 1u);
-  const auto key = detector.alerts()[0].dedup_key();
-  EXPECT_EQ(detector.observation_count(key), 3u);
+  EXPECT_EQ(detector.observation_count(detector.alerts()[0].key()), 3u);
 }
 
 TEST(DetectionTest, DistinctOffendersAreDistinctAlerts) {
@@ -173,13 +172,16 @@ TEST(DetectionTest, FirstSeenBySourceTracksRace) {
   detector.process(make_obs("10.0.0.0/23", {9, 666}, "bgpmon", 9, 100));
   detector.process(make_obs("10.0.0.0/23", {8, 666}, "ris-live", 8, 103));
   detector.process(make_obs("10.0.0.0/23", {7, 666}, "bgpmon", 7, 110));  // later
-  const auto key = detector.alerts()[0].dedup_key();
+  const AlertKey key = detector.alerts()[0].key();
   const auto* by_source = detector.first_seen_by_source(key);
   ASSERT_NE(by_source, nullptr);
   EXPECT_EQ(by_source->at("bgpmon"), SimTime::at_seconds(100));
   EXPECT_EQ(by_source->at("ris-live"), SimTime::at_seconds(103));
-  EXPECT_EQ(detector.first_seen_by_source("nonsense"), nullptr);
-  EXPECT_EQ(detector.observation_count("nonsense"), 0u);
+  // A hijack no alert has: same prefix and type, an offender never seen.
+  AlertKey unseen = key;
+  unseen.offender = 777;
+  EXPECT_EQ(detector.first_seen_by_source(unseen), nullptr);
+  EXPECT_EQ(detector.observation_count(unseen), 0u);
 }
 
 TEST(DetectionTest, AlertHandlersFireOnce) {

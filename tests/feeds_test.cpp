@@ -169,6 +169,9 @@ TEST(BatchFeedTest, RibDumpSnapshotsFullTable) {
   for (const auto& obs : received) {
     EXPECT_EQ(obs.type, ObservationType::kRouteState);
     EXPECT_EQ(obs.origin_as(), 3u);
+    // The dump time (the record header), not the route's install time —
+    // the same event time the archive importer gives a RIB entry.
+    EXPECT_EQ(obs.event_time, SimTime::at_seconds(2 * 3600));
     EXPECT_EQ(obs.delivered_at, SimTime::at_seconds(2 * 3600 + 300));
   }
   // Vantage 1's exported path must include itself.

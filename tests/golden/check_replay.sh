@@ -13,8 +13,9 @@
 #   4. a --compress import (gzip'd cold segments) replays and queries to
 #      the SAME alerts and query results — never byte-compared (.gz
 #      output is zlib-version-dependent), always record-compared;
-#   5. journal_query reproduces the committed query.txt, and a
-#      footer-pruned query reports the segment skip (the index gate).
+#   5. journal_query reproduces the committed query.txt, a
+#      footer-pruned query reports the segment skip (the index gate),
+#      and a wrapped negative --origin is rejected with exit status 2.
 #
 # Regenerate fixtures with tests/golden/make_golden.sh after an
 # INTENTIONAL format/importer change.
@@ -85,6 +86,12 @@ diff "$GOLD_DIR/query.txt" "$tmp/query.txt"
   --source no-such-feed --count > /dev/null 2> "$tmp/query_stats.txt"
 grep -q 'scanned 0/1 segment(s) (1 skipped via index)' "$tmp/query_stats.txt" || {
   echo "FAIL: footer did not prune the segment:"; cat "$tmp/query_stats.txt"; exit 1; }
+# A wrapped negative ASN is a usage error (exit 2), not "AS1".
+status=0
+"$BUILD_DIR/journal_query" --journal "$GOLD_DIR/journal" \
+  --origin -18446744073709551615 > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "FAIL: --origin -18446744073709551615 exited $status, want 2"; exit 1; }
 echo "ok: journal_query matches the golden output and footers prune"
 
 # 6. journal_alerts projects the ownership table into the read filter:

@@ -1,11 +1,17 @@
+// MRT wire format: every encoder in mrt/mrt.hpp round-trips through the
+// one decoder, ObservationConverter, against the observations built from
+// the encoded structs (mrt_expected.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
 #include "mrt/bytes.hpp"
 #include "mrt/mrt.hpp"
+#include "mrt/observation_convert.hpp"
 #include "mrt/stream_reader.hpp"
+#include "mrt_expected.hpp"
 
 namespace artemis::mrt {
 namespace {
@@ -75,6 +81,48 @@ TEST(BytesTest, SubReaderConsumes) {
   EXPECT_EQ(r.u8(), 0xFF);
 }
 
+// ------------------------------------------------------- round-trip kit
+
+void append(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+UpdateRecord record_of(bgp::UpdateMessage update, double at_seconds = 100) {
+  UpdateRecord rec;
+  rec.peer_asn = update.sender;
+  rec.local_asn = 64512;
+  rec.peer_ip = net::IpAddress::v4(0x0A000000 | (update.sender & 0xFFFF));
+  rec.timestamp = SimTime::at_seconds(at_seconds);
+  rec.update = std::move(update);
+  return rec;
+}
+
+/// Encodes `rec`, converts it back, and compares with `rec` itself.
+void expect_round_trip(const UpdateRecord& rec, const UpdateEncodeOptions& options = {}) {
+  const auto converted = convert(encode_update_record(rec, options));
+  EXPECT_TRUE(converted.stats.clean()) << converted.stats.error;
+  EXPECT_EQ(converted.stats.records, 1u);
+  expect_observations(converted.obs, expected_observations(rec));
+}
+
+/// A BGP4MP_ET/MESSAGE_AS4 record whose MRT envelope is length-consistent
+/// around `message`, whatever `message` holds.
+std::vector<std::uint8_t> record_with_message(std::span<const std::uint8_t> message) {
+  ByteWriter body;
+  body.u32(64501);       // peer AS
+  body.u32(64512);       // local AS
+  body.u16(0);           // interface index
+  body.u16(1);           // AFI: IPv4
+  body.u32(0x0A000001);  // peer IP
+  body.u32(0);           // local IP
+  body.bytes(message);
+  ByteWriter out;
+  write_raw_record(out, RecordType::kBgp4mpEt,
+                   static_cast<std::uint16_t>(Bgp4mpSubtype::kMessageAs4),
+                   SimTime::at_seconds(200), body.data());
+  return out.take();
+}
+
 // ------------------------------------------------------------- BGP UPDATE
 
 bgp::UpdateMessage sample_update() {
@@ -91,32 +139,42 @@ bgp::UpdateMessage sample_update() {
   return u;
 }
 
-TEST(BgpUpdateCodecTest, RoundTripFull) {
-  const auto original = sample_update();
-  const auto bytes = encode_bgp_update(original);
-  ByteReader r(bytes);
-  const auto decoded = decode_bgp_update(r, original.sender);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(decoded.sender, original.sender);
-  EXPECT_EQ(decoded.announced, original.announced);
-  EXPECT_EQ(decoded.withdrawn, original.withdrawn);
-  EXPECT_EQ(decoded.attrs.as_path, original.attrs.as_path);
-  EXPECT_EQ(decoded.attrs.origin, original.attrs.origin);
-  EXPECT_EQ(decoded.attrs.local_pref, original.attrs.local_pref);
-  EXPECT_EQ(decoded.attrs.med, original.attrs.med);
-  EXPECT_EQ(decoded.attrs.communities, original.attrs.communities);
+/// Every proper prefix of `message`, sealed in a length-consistent MRT
+/// envelope after one good record: the converter must stop the file with
+/// an error, keep the good record's observations and emit none from the
+/// cut one. (The BGP header's total-length field makes every cut
+/// detectable.)
+void expect_every_cut_rejected(const std::vector<std::uint8_t>& message) {
+  const auto good = encode_update_record(record_of(sample_update()));
+  const std::size_t kept = convert(good).obs.size();
+  ASSERT_GT(kept, 0u);
+  for (std::size_t cut = 0; cut < message.size(); ++cut) {
+    auto bytes = good;
+    append(bytes, record_with_message({message.data(), cut}));
+    const auto converted = convert(bytes);
+    EXPECT_FALSE(converted.stats.error.empty()) << "cut=" << cut;
+    EXPECT_FALSE(converted.stats.truncated) << "cut=" << cut;
+    EXPECT_EQ(converted.stats.records, 1u) << "cut=" << cut;
+    EXPECT_EQ(converted.obs.size(), kept) << "cut=" << cut;
+  }
 }
+
+TEST(BgpUpdateCodecTest, RoundTripFull) { expect_round_trip(record_of(sample_update())); }
 
 TEST(BgpUpdateCodecTest, PureWithdrawalHasNoAttributes) {
   bgp::UpdateMessage u;
   u.sender = 1;
   u.withdrawn = {net::Prefix::must_parse("10.0.0.0/8")};
+  expect_round_trip(record_of(u));
+  // On the wire: marker, length, type, a 2-byte withdrawn block, then a
+  // zero attribute length.
   const auto bytes = encode_bgp_update(u);
-  ByteReader r(bytes);
-  const auto decoded = decode_bgp_update(r, 1);
-  EXPECT_TRUE(decoded.announced.empty());
-  ASSERT_EQ(decoded.withdrawn.size(), 1u);
-  EXPECT_EQ(decoded.withdrawn[0].to_string(), "10.0.0.0/8");
+  ByteReader probe(bytes);
+  probe.bytes(16 + 2 + 1);
+  EXPECT_EQ(probe.u16(), 2u);  // one /8: length byte + one address byte
+  probe.bytes(2);
+  EXPECT_EQ(probe.u16(), 0u);  // no path attributes
+  EXPECT_TRUE(probe.done());
 }
 
 TEST(BgpUpdateCodecTest, ZeroLengthPrefixEncodes) {
@@ -124,41 +182,37 @@ TEST(BgpUpdateCodecTest, ZeroLengthPrefixEncodes) {
   u.sender = 1;
   u.attrs.as_path = bgp::AsPath({1});
   u.announced = {net::Prefix::must_parse("0.0.0.0/0")};
-  const auto bytes = encode_bgp_update(u);
-  ByteReader r(bytes);
-  const auto decoded = decode_bgp_update(r, 1);
-  ASSERT_EQ(decoded.announced.size(), 1u);
-  EXPECT_EQ(decoded.announced[0].length(), 0);
+  expect_round_trip(record_of(u));
 }
 
 TEST(BgpUpdateCodecTest, OddPrefixLengthsPackTightly) {
   // /23 must consume 3 NLRI bytes, /9 two, /32 four + 1 length byte each.
   for (const auto text : {"10.0.0.0/23", "10.128.0.0/9", "1.2.3.4/32", "128.0.0.0/1"}) {
+    SCOPED_TRACE(text);
     bgp::UpdateMessage u;
     u.sender = 1;
     u.attrs.as_path = bgp::AsPath({1});
+    u.announced = {net::Prefix::must_parse("0.0.0.0/0")};
+    const auto length_byte_only = encode_bgp_update(u);
     u.announced = {net::Prefix::must_parse(text)};
-    const auto bytes = encode_bgp_update(u);
-    ByteReader r(bytes);
-    const auto decoded = decode_bgp_update(r, 1);
-    ASSERT_EQ(decoded.announced.size(), 1u) << text;
-    EXPECT_EQ(decoded.announced[0].to_string(), text);
+    EXPECT_EQ(encode_bgp_update(u).size(),
+              length_byte_only.size() + (u.announced[0].length() + 7) / 8);
+    expect_round_trip(record_of(u));
   }
 }
 
 TEST(BgpUpdateCodecTest, BadMarkerRejected) {
-  auto bytes = encode_bgp_update(sample_update());
-  bytes[0] = 0x00;
-  ByteReader r(bytes);
-  EXPECT_THROW(decode_bgp_update(r, 1), DecodeError);
+  auto bad = encode_update_record(record_of(sample_update()));
+  // header(12) + ET micros(4) + BGP4MP preamble(20) = first marker byte.
+  bad[12 + 4 + 20] = 0x00;
+  const auto converted = convert(bad);
+  EXPECT_EQ(converted.stats.error, "bad BGP marker");
+  EXPECT_EQ(converted.stats.records, 0u);
+  EXPECT_TRUE(converted.obs.empty());
 }
 
 TEST(BgpUpdateCodecTest, TruncationRejected) {
-  const auto bytes = encode_bgp_update(sample_update());
-  for (const std::size_t cut : {std::size_t{18}, std::size_t{20}, bytes.size() - 1}) {
-    ByteReader r(std::span(bytes.data(), cut));
-    EXPECT_THROW(decode_bgp_update(r, 1), DecodeError) << "cut=" << cut;
-  }
+  expect_every_cut_rejected(encode_bgp_update(sample_update()));
 }
 
 // --------------------------------------------------------------- BGP4MP
@@ -171,157 +225,159 @@ TEST(UpdateRecordTest, RoundTripWithMicrosecondTimestamp) {
   rec.timestamp = SimTime::at_micros(1234567890123456LL);
   rec.update = sample_update();
   rec.update.sender = rec.peer_asn;
+  expect_round_trip(rec);  // event_time keeps microsecond precision
 
+  // The envelope: BGP4MP_ET header, then local AS and peer address at
+  // their RFC 6396 §4.4 offsets (the converter does not model them).
   const auto bytes = encode_update_record(rec);
   ByteReader r(bytes);
-  const auto raw = read_raw_record(r);
-  ASSERT_TRUE(raw);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(raw->type, static_cast<std::uint16_t>(RecordType::kBgp4mpEt));
-  const auto decoded = decode_update_record(*raw);
-  EXPECT_EQ(decoded.peer_asn, rec.peer_asn);
-  EXPECT_EQ(decoded.local_asn, rec.local_asn);
-  EXPECT_EQ(decoded.peer_ip, rec.peer_ip);
-  EXPECT_EQ(decoded.timestamp, rec.timestamp);  // microsecond precision
-  EXPECT_EQ(decoded.update.announced, rec.update.announced);
+  EXPECT_EQ(r.u32(), 1234567890u);  // seconds
+  EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(RecordType::kBgp4mpEt));
+  EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(Bgp4mpSubtype::kMessageAs4));
+  EXPECT_EQ(r.u32(), bytes.size() - 12);
+  EXPECT_EQ(r.u32(), 123456u);  // microseconds
+  EXPECT_EQ(r.u32(), rec.peer_asn);
+  EXPECT_EQ(r.u32(), rec.local_asn);
+  r.u16();                      // interface index
+  EXPECT_EQ(r.u16(), 1u);       // AFI: IPv4
+  EXPECT_EQ(r.u32(), rec.peer_ip.v4_value());
 }
 
 TEST(UpdateRecordTest, WrongSubtypeRejected) {
-  UpdateRecord rec;
-  rec.peer_asn = 1;
-  rec.update = sample_update();
-  const auto bytes = encode_update_record(rec);
-  ByteReader r(bytes);
-  auto raw = read_raw_record(r);
-  ASSERT_TRUE(raw);
-  raw->subtype = 99;
-  EXPECT_THROW(decode_update_record(*raw), DecodeError);
-  raw->subtype = static_cast<std::uint16_t>(Bgp4mpSubtype::kMessageAs4);
-  raw->type = static_cast<std::uint16_t>(RecordType::kTableDumpV2);
-  EXPECT_THROW(decode_update_record(*raw), DecodeError);
+  // A BGP4MP subtype that is not a message (a state change, say) is never
+  // decoded as an UPDATE: it yields no observations, and the next record
+  // still converts.
+  auto bytes = encode_update_record(record_of(sample_update()));
+  bytes[6] = 0;
+  bytes[7] = 99;  // subtype
+  const auto good = encode_update_record(record_of(sample_update(), 101));
+  append(bytes, good);
+  const auto converted = convert(bytes);
+  EXPECT_TRUE(converted.stats.clean());
+  EXPECT_EQ(converted.stats.records, 2u);
+  expect_observations(converted.obs,
+                      expected_observations(record_of(sample_update(), 101)));
 }
 
-TEST(RawRecordTest, EmptyStreamYieldsNullopt) {
-  ByteReader r(std::span<const std::uint8_t>{});
-  EXPECT_FALSE(read_raw_record(r));
+TEST(MrtFramingTest, EmptyStreamConvertsNothing) {
+  const auto converted = convert({});
+  EXPECT_TRUE(converted.stats.clean());
+  EXPECT_EQ(converted.stats.records, 0u);
+  EXPECT_TRUE(converted.obs.empty());
 }
 
-TEST(RawRecordTest, TruncatedHeaderThrows) {
+TEST(MrtFramingTest, TruncatedHeaderReportsTruncated) {
   const std::uint8_t junk[5] = {1, 2, 3, 4, 5};
-  ByteReader r(junk);
-  EXPECT_THROW(read_raw_record(r), DecodeError);
+  const auto converted = convert(junk);
+  EXPECT_TRUE(converted.stats.truncated);
+  EXPECT_TRUE(converted.stats.error.empty());
+  EXPECT_EQ(converted.stats.records, 0u);
+  EXPECT_EQ(converted.stats.bytes_consumed, 0u);
 }
 
-// ------------------------------------------------------------ ElemReader
+// ------------------------------------------------------------ fan-out
 
-TEST(ElemReaderTest, UpdatesFanOutToElems) {
-  ByteWriter stream;
-  UpdateRecord rec;
+TEST(MrtConvertFanOutTest, UpdatesFanOutToObservations) {
+  UpdateRecord rec = record_of(sample_update());
   rec.peer_asn = 64501;
-  rec.timestamp = SimTime::at_seconds(100);
-  rec.update = sample_update();
-  stream.bytes(encode_update_record(rec));
-
-  const auto elems = read_elems(stream.data());
-  ASSERT_EQ(elems.size(), 3u);  // 2 announces + 1 withdraw
-  EXPECT_EQ(elems[0].type, ElemType::kAnnounce);
-  EXPECT_EQ(elems[1].type, ElemType::kAnnounce);
-  EXPECT_EQ(elems[2].type, ElemType::kWithdraw);
-  EXPECT_EQ(elems[0].peer_asn, 64501u);
-  EXPECT_EQ(elems[0].origin_as(), 65030u);
-  EXPECT_EQ(elems[0].timestamp, SimTime::at_seconds(100));
-  EXPECT_EQ(elems[2].prefix.to_string(), "192.0.2.0/24");
+  const auto converted = convert(encode_update_record(rec));
+  ASSERT_EQ(converted.obs.size(), 3u);  // 2 announces + 1 withdraw
+  EXPECT_EQ(converted.obs[0].origin_as(), 65030u);
+  EXPECT_EQ(converted.obs[2].prefix.to_string(), "192.0.2.0/24");
+  expect_observations(converted.obs, expected_observations(rec));
 }
 
-TEST(ElemReaderTest, TableDumpFansOutRibEntries) {
+TEST(MrtConvertFanOutTest, TableDumpFansOutRibEntries) {
   std::vector<RibEntryRecord> entries;
   for (int i = 0; i < 3; ++i) {
     RibEntryRecord entry;
     entry.peer_asn = 100 + static_cast<bgp::Asn>(i % 2);  // two distinct peers
-    entry.timestamp = SimTime::at_seconds(50);
+    entry.timestamp = SimTime::at_seconds(50);            // originated time
     entry.route.prefix = net::Prefix::must_parse("10.0." + std::to_string(i) + ".0/24");
     entry.route.attrs.as_path = bgp::AsPath({100, 200});
     entries.push_back(entry);
   }
-  const auto bytes = encode_table_dump(entries, SimTime::at_seconds(7200));
-  const auto elems = read_elems(bytes);
-  ASSERT_EQ(elems.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(elems[i].type, ElemType::kRibEntry);
-    EXPECT_EQ(elems[i].peer_asn, 100 + static_cast<bgp::Asn>(i % 2));
-    EXPECT_EQ(elems[i].attrs.as_path.to_string(), "100 200");
-    EXPECT_EQ(elems[i].timestamp, SimTime::at_seconds(50));
-  }
+  const auto dump_time = SimTime::at_seconds(7200);
+  const auto converted = convert(encode_table_dump(entries, dump_time));
+  EXPECT_TRUE(converted.stats.clean());
+  EXPECT_EQ(converted.stats.records, 4u);  // peer index + one per prefix
+  expect_observations(converted.obs, expected_observations(entries, dump_time));
 }
 
-TEST(ElemReaderTest, MixedStream) {
-  ByteWriter stream;
+TEST(MrtConvertFanOutTest, MixedStream) {
   RibEntryRecord entry;
   entry.peer_asn = 7;
   entry.route.prefix = net::Prefix::must_parse("10.0.0.0/16");
   entry.route.attrs.as_path = bgp::AsPath({7, 8});
-  stream.bytes(encode_table_dump({entry}, SimTime::zero()));
-  UpdateRecord rec;
+  std::vector<std::uint8_t> stream = encode_table_dump({entry}, SimTime::zero());
+  UpdateRecord rec = record_of(sample_update());
   rec.peer_asn = 9;
-  rec.update = sample_update();
-  stream.bytes(encode_update_record(rec));
+  append(stream, encode_update_record(rec));
 
-  const auto elems = read_elems(stream.data());
-  ASSERT_EQ(elems.size(), 4u);
-  EXPECT_EQ(elems[0].type, ElemType::kRibEntry);
-  EXPECT_EQ(elems[1].type, ElemType::kAnnounce);
+  auto expected = expected_observations({entry}, SimTime::zero());
+  for (auto& obs : expected_observations(rec)) expected.push_back(std::move(obs));
+  const auto converted = convert(stream);
+  EXPECT_TRUE(converted.stats.clean());
+  expect_observations(converted.obs, expected);
 }
 
-TEST(ElemReaderTest, UnknownRecordTypesSkipped) {
+TEST(MrtConvertFanOutTest, UnknownRecordTypesSkipped) {
   ByteWriter stream;
   const std::uint8_t body[4] = {1, 2, 3, 4};
   write_raw_record(stream, static_cast<RecordType>(99), 0, SimTime::zero(), body);
-  UpdateRecord rec;
-  rec.peer_asn = 9;
-  rec.update = sample_update();
+  const UpdateRecord rec = record_of(sample_update());
   stream.bytes(encode_update_record(rec));
-  const auto elems = read_elems(stream.data());
-  EXPECT_EQ(elems.size(), 3u);  // junk record ignored, update decoded
+  const auto converted = convert(stream.data());
+  EXPECT_TRUE(converted.stats.clean());
+  EXPECT_EQ(converted.stats.records, 2u);  // junk record passed over whole
+  expect_observations(converted.obs, expected_observations(rec));
 }
 
-TEST(ElemReaderTest, RibEntryWithUnknownPeerThrows) {
-  // A RIB record without a preceding PEER_INDEX_TABLE must fail loudly.
-  std::vector<RibEntryRecord> entries;
+TEST(MrtConvertFanOutTest, RibEntryWithUnknownPeerStopsFile) {
+  // A RIB record without a preceding PEER_INDEX_TABLE is malformed: the
+  // file stops there with an error, never a guessed vantage.
   RibEntryRecord entry;
   entry.peer_asn = 7;
   entry.route.prefix = net::Prefix::must_parse("10.0.0.0/16");
   entry.route.attrs.as_path = bgp::AsPath({7});
-  entries.push_back(entry);
-  auto bytes = encode_table_dump(entries, SimTime::zero());
-  // Strip the first record (the peer index). Parse its header to find the
-  // boundary: 12-byte header + body length at offset 8.
+  const auto bytes = encode_table_dump({entry}, SimTime::zero());
+  // Strip the first record (the peer index): 12-byte header + body
+  // length at offset 8.
   ByteReader r(bytes);
-  r.u32();
-  r.u16();
-  r.u16();
-  const std::uint32_t len = r.u32();
-  const std::size_t cut = 12 + len;
-  std::vector<std::uint8_t> without_index(bytes.begin() + static_cast<long>(cut),
-                                          bytes.end());
-  EXPECT_THROW(read_elems(without_index), DecodeError);
+  r.bytes(8);
+  const std::size_t cut = 12 + r.u32();
+  const std::span<const std::uint8_t> without_index(bytes.data() + cut,
+                                                    bytes.size() - cut);
+  const auto converted = convert(without_index);
+  EXPECT_EQ(converted.stats.error, "RIB entry references unknown peer");
+  EXPECT_EQ(converted.stats.records, 0u);
+  EXPECT_TRUE(converted.obs.empty());
 }
 
-TEST(ElemReaderTest, FileRoundTrip) {
+TEST(MrtConvertFanOutTest, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/artemis_mrt_test.mrt";
-  ByteWriter stream;
-  UpdateRecord rec;
-  rec.peer_asn = 3;
-  rec.update = sample_update();
-  stream.bytes(encode_update_record(rec));
+  const UpdateRecord rec = record_of(sample_update());
   {
+    const auto bytes = encode_update_record(rec);
     std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(stream.data().data()),
-              static_cast<std::streamsize>(stream.data().size()));
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
   }
-  const auto elems = read_elems_from_file(path);
-  EXPECT_EQ(elems.size(), 3u);
+  ObservationConverter converter;
+  std::vector<feeds::Observation> obs;
+  const auto collect = [&](std::span<const feeds::Observation> batch) {
+    obs.insert(obs.end(), batch.begin(), batch.end());
+  };
+  converter.begin_file();
+  EXPECT_EQ(decompress_file(path, [&](std::span<const std::uint8_t> chunk) {
+              converter.feed(chunk, collect);
+            }),
+            "");
+  EXPECT_TRUE(converter.finish_file(collect).clean());
+  expect_observations(obs, expected_observations(rec));
   std::remove(path.c_str());
-  EXPECT_THROW(read_elems_from_file(path), std::runtime_error);
+  EXPECT_THROW(decompress_file(path, [](std::span<const std::uint8_t>) {}),
+               std::runtime_error);
 }
 
 // ------------------------------------------- pre-AS4 records & AS4_PATH
@@ -337,13 +393,12 @@ TEST(UpdateRecordTest, As2RoundTripMergesAs4Path) {
   rec.update.attrs.as_path = bgp::AsPath({64501, 200000, 65030});
 
   const auto bytes = encode_update_record_as2(rec);
-  ByteReader r(bytes);
-  const auto raw = read_raw_record(r);
-  ASSERT_TRUE(raw);
-  EXPECT_EQ(raw->subtype, static_cast<std::uint16_t>(Bgp4mpSubtype::kMessage));
-  const auto decoded = decode_update_record(*raw);
-  EXPECT_EQ(decoded.peer_asn, 64501u);
-  EXPECT_EQ(decoded.update.attrs.as_path.to_string(), "64501 200000 65030");
+  EXPECT_EQ(ByteReader(std::span(bytes).subspan(6)).u16(),
+            static_cast<std::uint16_t>(Bgp4mpSubtype::kMessage));
+  const auto converted = convert(bytes);
+  EXPECT_TRUE(converted.stats.clean());
+  expect_observations(converted.obs, expected_observations(rec));
+  EXPECT_EQ(converted.obs[0].attrs.as_path.to_string(), "64501 200000 65030");
 }
 
 TEST(UpdateRecordTest, As2WithoutWideAsnsHasNoAs4Path) {
@@ -353,13 +408,12 @@ TEST(UpdateRecordTest, As2WithoutWideAsnsHasNoAs4Path) {
   rec.update.announced.push_back(net::Prefix::must_parse("10.0.0.0/24"));
   rec.update.attrs.as_path = bgp::AsPath({64501, 65030});
   const auto with_narrow = encode_update_record_as2(rec);
+  const UpdateRecord narrow = rec;
   rec.update.attrs.as_path = bgp::AsPath({64501, 200000});
   const auto with_wide = encode_update_record_as2(rec);
   // The AS4_PATH attribute only appears when a hop was squashed.
   EXPECT_LT(with_narrow.size(), with_wide.size());
-  ByteReader r(with_narrow);
-  const auto decoded = decode_update_record(*read_raw_record(r));
-  EXPECT_EQ(decoded.update.attrs.as_path.to_string(), "64501 65030");
+  expect_observations(convert(with_narrow).obs, expected_observations(narrow));
 }
 
 /// Builds a raw attribute block with independent AS_PATH (2-byte) and
@@ -436,23 +490,21 @@ TEST(PathAttributesTest, OverlongAs4PathIsIgnored) {
   EXPECT_EQ(attrs.as_path.to_string(), "64496 65030");
 }
 
-TEST(ElemReaderTest, As2UpdatesFanOutWithMergedPaths) {
-  ByteWriter stream;
+TEST(MrtConvertFanOutTest, As2UpdatesFanOutWithMergedPaths) {
   UpdateRecord rec;
   rec.peer_asn = 64501;
   rec.timestamp = SimTime::at_seconds(100);
   rec.update.announced.push_back(net::Prefix::must_parse("10.0.0.0/24"));
   rec.update.attrs.as_path = bgp::AsPath({64501, 200000});
-  stream.bytes(encode_update_record_as2(rec));
-  const auto elems = read_elems(stream.data());
-  ASSERT_EQ(elems.size(), 1u);
-  EXPECT_EQ(elems[0].peer_asn, 64501u);
-  EXPECT_EQ(elems[0].origin_as(), 200000u);
+  const auto converted = convert(encode_update_record_as2(rec));
+  ASSERT_EQ(converted.obs.size(), 1u);
+  EXPECT_EQ(converted.obs[0].vantage, 64501u);
+  EXPECT_EQ(converted.obs[0].origin_as(), 200000u);
 }
 
 // ------------------------------------------------------- IPv6 RIB dumps
 
-TEST(ElemReaderTest, Ipv6RibEntriesRoundTrip) {
+TEST(MrtConvertFanOutTest, Ipv6RibEntriesRoundTrip) {
   std::vector<RibEntryRecord> entries;
   RibEntryRecord v6;
   v6.peer_asn = 100;
@@ -467,13 +519,12 @@ TEST(ElemReaderTest, Ipv6RibEntriesRoundTrip) {
   v4.route.attrs.as_path = bgp::AsPath({100, 300});
   entries.push_back(v4);
 
-  const auto bytes = encode_table_dump(entries, SimTime::at_seconds(7200));
-  const auto elems = read_elems(bytes);
-  ASSERT_EQ(elems.size(), 2u);
-  EXPECT_EQ(elems[0].prefix, net::Prefix::must_parse("2001:db8::/32"));
-  EXPECT_EQ(elems[0].origin_as(), 200u);
-  EXPECT_EQ(elems[1].prefix, net::Prefix::must_parse("10.0.0.0/16"));
-  EXPECT_EQ(elems[1].origin_as(), 300u);
+  const auto dump_time = SimTime::at_seconds(7200);
+  const auto converted = convert(encode_table_dump(entries, dump_time));
+  EXPECT_TRUE(converted.stats.clean());
+  expect_observations(converted.obs, expected_observations(entries, dump_time));
+  EXPECT_EQ(converted.obs[0].origin_as(), 200u);
+  EXPECT_EQ(converted.obs[1].origin_as(), 300u);
 }
 
 // ------------------------------------------------- MP_REACH / MP_UNREACH
@@ -491,16 +542,9 @@ bgp::UpdateMessage dual_stack_update() {
 }
 
 TEST(MpNlriCodecTest, DualStackRoundTripV4First) {
-  const auto original = dual_stack_update();
-  const auto bytes = encode_bgp_update(original);
-  ByteReader r(bytes);
-  const auto decoded = decode_bgp_update(r, original.sender);
-  EXPECT_TRUE(r.done());
-  // Decode order: classic v4 fields first, MP NLRI appended after. The
-  // fixture already lists v4 first, so the round trip is exact.
-  EXPECT_EQ(decoded.announced, original.announced);
-  EXPECT_EQ(decoded.withdrawn, original.withdrawn);
-  EXPECT_EQ(decoded.attrs.as_path, original.attrs.as_path);
+  // Decode order: classic v4 fields first, MP NLRI after — the expected
+  // observations are built in exactly that order.
+  expect_round_trip(record_of(dual_stack_update()));
 }
 
 TEST(MpNlriCodecTest, NextHop32RoundTrips) {
@@ -511,10 +555,7 @@ TEST(MpNlriCodecTest, NextHop32RoundTrips) {
   const auto bytes16 = encode_bgp_update(original);
   const auto bytes32 = encode_bgp_update(original, options);
   EXPECT_EQ(bytes32.size(), bytes16.size() + 16);  // exactly the extra next hop
-  ByteReader r(bytes32);
-  const auto decoded = decode_bgp_update(r, original.sender);
-  EXPECT_EQ(decoded.announced, original.announced);
-  EXPECT_EQ(decoded.withdrawn, original.withdrawn);
+  expect_round_trip(record_of(original), options);
 }
 
 TEST(MpNlriCodecTest, V6WithdrawOnlyUpdateCarriesLoneMpUnreach) {
@@ -522,13 +563,10 @@ TEST(MpNlriCodecTest, V6WithdrawOnlyUpdateCarriesLoneMpUnreach) {
   u.sender = 1;
   u.withdrawn = {net::Prefix::must_parse("2001:db8::/32"),
                  net::Prefix::must_parse("2001:db8:1::/48")};
-  const auto bytes = encode_bgp_update(u);
-  ByteReader r(bytes);
-  const auto decoded = decode_bgp_update(r, 1);
-  EXPECT_TRUE(decoded.announced.empty());
-  EXPECT_EQ(decoded.withdrawn, u.withdrawn);
+  expect_round_trip(record_of(u));
   // The attribute section holds exactly one attribute: MP_UNREACH_NLRI
   // (flags, type 15). Classic withdrawn-routes length must be zero.
+  const auto bytes = encode_bgp_update(u);
   ByteReader probe(bytes);
   probe.bytes(16);       // marker
   probe.u16();           // length
@@ -549,15 +587,11 @@ TEST(MpNlriCodecTest, As2RecordWithV6NlriMergesAs4Path) {
   rec.update.sender = rec.peer_asn;
   rec.update.attrs.as_path = bgp::AsPath({70000, 3356, 65001});
   rec.update.announced = {net::Prefix::must_parse("2001:db8::/32")};
-  const auto bytes = encode_update_record_as2(rec);
-  ByteReader r(bytes);
-  const auto raw = read_raw_record(r);
-  ASSERT_TRUE(raw.has_value());
-  const auto decoded = decode_update_record(*raw);
-  EXPECT_EQ(decoded.peer_asn, kAsTrans);  // header ASN is 2-byte on the wire
-  ASSERT_EQ(decoded.update.announced.size(), 1u);
-  EXPECT_EQ(decoded.update.announced[0], net::Prefix::must_parse("2001:db8::/32"));
-  EXPECT_EQ(decoded.update.attrs.as_path, rec.update.attrs.as_path);  // AS4 merge
+  const auto converted = convert(encode_update_record_as2(rec));
+  ASSERT_EQ(converted.obs.size(), 1u);
+  EXPECT_EQ(converted.obs[0].vantage, kAsTrans);  // header ASN is 2-byte on the wire
+  EXPECT_EQ(converted.obs[0].prefix, net::Prefix::must_parse("2001:db8::/32"));
+  EXPECT_EQ(converted.obs[0].attrs.as_path, rec.update.attrs.as_path);  // AS4 merge
 }
 
 TEST(MpNlriCodecTest, V6PeerAddressRoundTrips) {
@@ -569,14 +603,15 @@ TEST(MpNlriCodecTest, V6PeerAddressRoundTrips) {
   rec.update.sender = 9;
   rec.update.attrs.as_path = bgp::AsPath({9, 65001});
   rec.update.announced = {net::Prefix::must_parse("2001:db8:aaaa::/48")};
+  // A v6 session records 16-byte peer/local addresses; the converter
+  // must step over both to reach the message.
+  expect_round_trip(rec);
   const auto bytes = encode_update_record(rec);
   ByteReader r(bytes);
-  const auto raw = read_raw_record(r);
-  ASSERT_TRUE(raw.has_value());
-  const auto decoded = decode_update_record(*raw);
-  EXPECT_EQ(decoded.peer_ip, rec.peer_ip);
-  ASSERT_EQ(decoded.update.announced.size(), 1u);
-  EXPECT_EQ(decoded.update.announced[0], rec.update.announced[0]);
+  r.bytes(16 + 4 + 4 + 2);  // header + micros, peer AS, local AS, ifindex
+  EXPECT_EQ(r.u16(), 2u);   // AFI: IPv6
+  const auto peer_ip = r.bytes(16);
+  EXPECT_TRUE(std::equal(peer_ip.begin(), peer_ip.end(), rec.peer_ip.bytes().begin()));
 }
 
 TEST(MpNlriCodecTest, V4NlriOverV6NextHopDecodes) {
@@ -635,7 +670,9 @@ TEST(MpNlriCodecTest, MpAttributesSkippedWithoutScratch) {
   w.u8(16);
   for (int i = 0; i < 16; ++i) w.u8(0xAB);
   ByteReader r(w.data());
-  const auto attrs = decode_path_attributes(r);
+  bgp::PathAttributes attrs;
+  std::vector<bgp::Asn> hops, as4;
+  decode_path_attributes_into(r, attrs, false, hops, as4);
   EXPECT_TRUE(r.done());
   EXPECT_TRUE(attrs.as_path.empty());
 }
@@ -647,17 +684,11 @@ TEST(LabeledVpnCodecTest, RoundTripsThroughLabeledEncoding) {
   // NLRI, RD-prefixed next hops) must decode back to the bare prefixes —
   // at both next-hop widths.
   for (const int nh : {16, 32}) {
+    SCOPED_TRACE("nh=" + std::to_string(nh));
     UpdateEncodeOptions options;
     options.mp_labeled_vpn = true;
     options.mp_next_hop_len = nh;
-    const auto original = dual_stack_update();
-    const auto bytes = encode_bgp_update(original, options);
-    ByteReader r(bytes);
-    const auto decoded = decode_bgp_update(r, original.sender);
-    EXPECT_TRUE(r.done()) << "nh=" << nh;
-    EXPECT_EQ(decoded.announced, original.announced) << "nh=" << nh;
-    EXPECT_EQ(decoded.withdrawn, original.withdrawn) << "nh=" << nh;
-    EXPECT_EQ(decoded.attrs.as_path, original.attrs.as_path) << "nh=" << nh;
+    expect_round_trip(record_of(dual_stack_update()), options);
   }
 }
 
@@ -755,15 +786,10 @@ TEST(LabeledVpnCodecTest, BadLabeledNextHopLengthRejected) {
 
 TEST(LabeledVpnCodecTest, EveryByteTruncationRejected) {
   // The full truncation matrix over a labeled dual-stack update: every
-  // proper prefix of the message must throw, never mis-decode. (The BGP
-  // header's total-length field makes every cut detectable.)
+  // proper prefix of the message must stop the file, never mis-decode.
   UpdateEncodeOptions options;
   options.mp_labeled_vpn = true;
-  const auto bytes = encode_bgp_update(dual_stack_update(), options);
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ByteReader r(std::span(bytes.data(), cut));
-    EXPECT_THROW(decode_bgp_update(r, 1), DecodeError) << "cut=" << cut;
-  }
+  expect_every_cut_rejected(encode_bgp_update(dual_stack_update(), options));
 }
 
 TEST(MpNlriCodecTest, AsSetSegmentThrowsUnsupportedRecord) {
@@ -775,10 +801,13 @@ TEST(MpNlriCodecTest, AsSetSegmentThrowsUnsupportedRecord) {
   w.u8(1);     // one hop
   w.u32(65001);
   ByteReader r(w.data());
-  EXPECT_THROW(decode_path_attributes(r), UnsupportedRecord);
+  bgp::PathAttributes attrs;
+  std::vector<bgp::Asn> hops, as4;
+  EXPECT_THROW(decode_path_attributes_into(r, attrs, false, hops, as4),
+               UnsupportedRecord);
 }
 
-TEST(ElemReaderTest, DualStackUpdateFansOutMpElems) {
+TEST(MrtConvertFanOutTest, DualStackUpdateFansOutMpObservations) {
   UpdateRecord rec;
   rec.peer_asn = 9;
   rec.local_asn = 64512;
@@ -789,27 +818,15 @@ TEST(ElemReaderTest, DualStackUpdateFansOutMpElems) {
   rec.update.announced = {net::Prefix::must_parse("10.0.0.0/24"),
                           net::Prefix::must_parse("2001:db8::/32")};
   rec.update.withdrawn = {net::Prefix::must_parse("2001:db8:dead::/48")};
-  const auto bytes = encode_update_record(rec);
-  const auto elems = read_elems(bytes);
-  ASSERT_EQ(elems.size(), 3u);
-  EXPECT_EQ(elems[0].type, ElemType::kAnnounce);
-  EXPECT_EQ(elems[0].prefix, net::Prefix::must_parse("10.0.0.0/24"));
-  EXPECT_EQ(elems[1].type, ElemType::kAnnounce);
-  EXPECT_EQ(elems[1].prefix, net::Prefix::must_parse("2001:db8::/32"));
-  EXPECT_EQ(elems[2].type, ElemType::kWithdraw);
-  EXPECT_EQ(elems[2].prefix, net::Prefix::must_parse("2001:db8:dead::/48"));
-}
-
-TEST(ElemTest, ToStringFormats) {
-  BgpElem e;
-  e.type = ElemType::kAnnounce;
-  e.peer_asn = 5;
-  e.prefix = net::Prefix::must_parse("10.0.0.0/24");
-  e.attrs.as_path = bgp::AsPath({5, 6});
-  const auto s = e.to_string();
-  EXPECT_NE(s.find("A|"), std::string::npos);
-  EXPECT_NE(s.find("AS5"), std::string::npos);
-  EXPECT_NE(s.find("10.0.0.0/24"), std::string::npos);
+  const auto converted = convert(encode_update_record(rec));
+  ASSERT_EQ(converted.obs.size(), 3u);
+  EXPECT_EQ(converted.obs[0].type, feeds::ObservationType::kAnnouncement);
+  EXPECT_EQ(converted.obs[0].prefix, net::Prefix::must_parse("10.0.0.0/24"));
+  EXPECT_EQ(converted.obs[1].type, feeds::ObservationType::kAnnouncement);
+  EXPECT_EQ(converted.obs[1].prefix, net::Prefix::must_parse("2001:db8::/32"));
+  EXPECT_EQ(converted.obs[2].type, feeds::ObservationType::kWithdrawal);
+  EXPECT_EQ(converted.obs[2].prefix, net::Prefix::must_parse("2001:db8:dead::/48"));
+  expect_observations(converted.obs, expected_observations(rec));
 }
 
 }  // namespace

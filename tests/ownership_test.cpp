@@ -1,5 +1,5 @@
 // The multi-tenant ownership API: frozen tables, tenant-scoped refs,
-// schema v2 configs, epoch publication, and tenant-scoped alerting.
+// schema v2 configs, snapshot swaps, and tenant-scoped alerting.
 #include <gtest/gtest.h>
 
 #include "artemis/detection.hpp"
@@ -116,20 +116,6 @@ TEST(OwnershipTableTest, EmptyConfigStillResolvesDefaultTenant) {
   ASSERT_EQ(table->tenants().size(), 1u);
   EXPECT_EQ(table->tenants()[0].name, "default");
   EXPECT_TRUE(table->policy(kDefaultTenantId).auto_mitigate);
-}
-
-TEST(OwnershipStoreTest, PublishBumpsEpochAndSwapsSnapshot) {
-  const Config config = two_tenant_config();
-  OwnershipStore store(config.build_table());
-  const auto first = store.snapshot();
-  const auto epoch0 = store.epoch();
-
-  store.publish(config.build_table());
-  EXPECT_EQ(store.epoch(), epoch0 + 1);
-  const auto second = store.snapshot();
-  EXPECT_NE(first.get(), second.get());
-  // The old snapshot stays valid for readers that captured it.
-  EXPECT_TRUE(first->match(net::Prefix::must_parse("10.0.0.0/23")));
 }
 
 TEST(ConfigV2Test, ParsesTenantsWithPerTenantPolicy) {

@@ -9,7 +9,7 @@
 #include "artemis/mitigation.hpp"
 #include "bgp/rib.hpp"
 #include "mrt/mrt.hpp"
-#include "mrt/stream_reader.hpp"
+#include "mrt_expected.hpp"
 #include "netbase/prefix_trie.hpp"
 #include "sim/network.hpp"
 #include "topology/generator.hpp"
@@ -164,19 +164,9 @@ TEST_P(MrtRoundTrip, UpdateRecordSurvivesEncodeDecode) {
     rec.update = random_update(rng);
     rec.update.sender = rec.peer_asn;
 
-    const auto bytes = mrt::encode_update_record(rec);
-    mrt::ByteReader reader(bytes);
-    const auto raw = mrt::read_raw_record(reader);
-    ASSERT_TRUE(raw);
-    const auto decoded = mrt::decode_update_record(*raw);
-    EXPECT_EQ(decoded.peer_asn, rec.peer_asn);
-    EXPECT_EQ(decoded.timestamp, rec.timestamp);
-    EXPECT_EQ(decoded.update.announced, rec.update.announced);
-    EXPECT_EQ(decoded.update.withdrawn, rec.update.withdrawn);
-    if (!rec.update.announced.empty()) {
-      EXPECT_EQ(decoded.update.attrs.as_path, rec.update.attrs.as_path);
-      EXPECT_EQ(decoded.update.attrs.communities, rec.update.attrs.communities);
-    }
+    const auto converted = mrt::convert(mrt::encode_update_record(rec));
+    ASSERT_TRUE(converted.stats.clean()) << converted.stats.error;
+    mrt::expect_observations(converted.obs, mrt::expected_observations(rec));
   }
 }
 
@@ -190,7 +180,12 @@ TEST_P(MrtRoundTrip, ElemStreamConservesElemCount) {
     expected += rec.update.announced.size() + rec.update.withdrawn.size();
     stream.bytes(mrt::encode_update_record(rec));
   }
-  EXPECT_EQ(mrt::read_elems(stream.data()).size(), expected);
+  // One observation per announced or withdrawn prefix (a libBGPStream
+  // "elem"), none lost or invented across record boundaries.
+  const auto converted = mrt::convert(stream.data());
+  EXPECT_EQ(converted.obs.size(), expected);
+  EXPECT_TRUE(converted.stats.clean());
+  EXPECT_EQ(converted.stats.records, 50u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MrtRoundTrip, ::testing::Values(20, 21, 22, 23, 24));

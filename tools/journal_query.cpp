@@ -92,9 +92,12 @@ int main(int argc, char** argv) {
       if (filter.source.empty()) usage_error("--source must be non-empty");
     } else if (arg == "--origin") {
       const char* text = flag_value("--origin");
+      // strtoul silently wraps negatives ("-18446744073709551615" is 1):
+      // require a leading digit.
       char* rest = nullptr;
       const unsigned long asn = std::strtoul(text, &rest, 10);
-      if (rest == text || *rest != '\0' || asn == 0 || asn > 0xFFFFFFFFul) {
+      if (*text < '0' || *text > '9' || *rest != '\0' || asn == 0 ||
+          asn > 0xFFFFFFFFul) {
         usage_error("--origin must be an ASN in [1, 4294967295]");
       }
       filter.origin = static_cast<bgp::Asn>(asn);

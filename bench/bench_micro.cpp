@@ -158,35 +158,6 @@ void BM_MrtEncodeUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_MrtEncodeUpdate);
 
-void BM_DetectionProcess(benchmark::State& state) {
-  // Worst-case-ish mix: 1 in 16 observations overlaps the owned prefix.
-  core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
-  core::DetectionService detector(config);
-
-  Rng rng(6);
-  std::vector<feeds::Observation> observations;
-  for (int i = 0; i < 4096; ++i) {
-    feeds::Observation obs;
-    obs.type = feeds::ObservationType::kAnnouncement;
-    obs.source = "bench";
-    obs.vantage = 9;
-    obs.prefix = (i % 16 == 0) ? net::Prefix::must_parse("10.0.0.0/23")
-                               : random_prefix(rng);
-    obs.attrs.as_path = bgp::AsPath({9, 3356, 65001});
-    observations.push_back(std::move(obs));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    detector.process(observations[i++ & 4095]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DetectionProcess);
-
 /// A full-internet-scale multi-tenant config: `prefixes` owned prefixes
 /// spread round-robin across `tenants` tenants (tenants=1 uses the v1
 /// implicit-default-tenant path, the single-operator baseline).

@@ -1,20 +1,21 @@
 // Pipeline throughput benchmarks (ROADMAP "Pipeline architecture").
 //
-// Measures the three tiers of the observation path on one realistic
-// workload (bursty merged-feed stream, 1-in-16 groups hijack-relevant):
-//   * BM_CallbackPath        — per-observation publish through the hub's
-//                              per-observation shim into process(): the
-//                              pre-batching architecture, kept as the
-//                              comparison baseline.
-//   * BM_BatchPath/<B>       — hub.publish_batch spans of B into
-//                              process_batch: the batch-first path. The
-//                              acceptance bar is ≥ 2x BM_CallbackPath
-//                              items/s at B ≥ 256.
-//   * BM_DetectionBatch/<B>  — process_batch alone (no hub), isolating
-//                              the detection-side amortization.
-//   * BM_ShardedInline/<N>   — inline hash dispatch across N shards.
-//   * BM_ShardedThreaded/<N> — SPSC rings + N workers; submit+flush per
-//                              iteration. Multi-shard scaling.
+// Measures the tiers of the observation path on one realistic workload
+// (bursty merged-feed stream, 1-in-16 groups hijack-relevant):
+//   * BM_BatchPath/<B>        — hub.publish_batch spans of B into
+//                               process_batch: the hub plus detection.
+//   * BM_DetectionBatch/<B>   — process_batch alone (no hub), isolating
+//                               the detection hot path.
+//   * BM_MetricsOverhead      — BM_BatchPath at B=1024 with telemetry off
+//                               and on (the <= 5% cost gate).
+//   * BM_ShardedInline/<N>    — inline hash dispatch across N shards (the
+//                               only inline multi-shard bench).
+//   * BM_ShardedThroughput    — N threaded shard workers, both wait
+//                               policies; submit_batch + flush per
+//                               iteration. Multi-shard scaling.
+//   * BM_HandoffBatchRing     — raw BatchRing transfer, no detection.
+//   * BM_ShardedThreadedRpki/<N>, BM_InlineRpki — threaded vs inline
+//                               with a dense ROA table.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -73,22 +74,6 @@ const std::vector<feeds::Observation>& workload() {
   }();
   return stream;
 }
-
-void BM_CallbackPath(benchmark::State& state) {
-  const core::Config config = make_config();
-  core::DetectionService detector(config);
-  feeds::MonitorHub hub;
-  // The pre-pipeline wiring: a per-observation handler chain.
-  hub.subscribe([&detector](const feeds::Observation& obs) { detector.process(obs); });
-  const auto& stream = workload();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    hub.publish(stream[i]);
-    i = (i + 1) & (stream.size() - 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CallbackPath);
 
 void BM_BatchPath(benchmark::State& state) {
   const core::Config config = make_config();
@@ -171,29 +156,6 @@ void BM_ShardedInline(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedInline)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_ShardedThreaded(benchmark::State& state) {
-  const core::Config config = make_config();
-  pipeline::ShardedDetectorOptions options;
-  options.shards = static_cast<std::size_t>(state.range(0));
-  options.threaded = true;
-  options.queue_capacity = 1024;
-  options.drain_batch = 128;
-  pipeline::ShardedDetector detector(config, options);
-  const auto& stream = workload();
-  constexpr std::size_t kChunk = 1024;
-  for (auto _ : state) {
-    // One iteration = the full 64k-observation workload, fanned out and
-    // fully drained (flush is the barrier the wall clock must include).
-    for (std::size_t i = 0; i < stream.size(); i += kChunk) {
-      detector.submit_batch({stream.data() + i, std::min(kChunk, stream.size() - i)});
-    }
-    detector.flush();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_ShardedThreaded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 /// The acceptance bench for the batch-granular handoff: N shard workers
 /// draining BatchRings, full workload fan-out + flush per iteration, under
 /// both wait policies (futex:0 = busy_poll, futex:1 = std::atomic::wait).
@@ -227,49 +189,12 @@ BENCHMARK(BM_ShardedThroughput)
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})
     ->UseRealTime();
 
-// ---- handoff micro-benches -------------------------------------------------
+// ---- handoff micro-bench ---------------------------------------------------
 //
-// Pure cross-thread transfer cost, no detection work: the per-observation
-// SpscRing handoff (one release store + one copy per observation, the
-// pre-BatchRing design) against the batch-granular BatchRing (one release
-// store per ~128 observations, observations copy-assigned into recycled
-// slots). The acceptance bar: BM_HandoffBatchRing >= 5x BM_HandoffPerObsRing
-// items/s. Consumer-side waits yield so the pair stays meaningful on a
-// single-CPU runner.
-
-void BM_HandoffPerObsRing(benchmark::State& state) {
-  pipeline::SpscRing<feeds::Observation> ring(1024);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> drained{0};
-  std::thread consumer([&] {
-    feeds::Observation slot;  // recycled out-buffer, as the real worker has
-    for (;;) {
-      if (ring.try_pop(slot)) {
-        drained.fetch_add(1, std::memory_order_release);
-      } else if (stop.load(std::memory_order_acquire)) {
-        if (!ring.try_pop(slot)) return;
-        drained.fetch_add(1, std::memory_order_release);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  const auto& stream = workload();
-  std::uint64_t pushed = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    while (!ring.try_push(stream[i])) std::this_thread::yield();
-    ++pushed;
-    i = (i + 1) & (stream.size() - 1);
-  }
-  while (drained.load(std::memory_order_acquire) < pushed) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HandoffPerObsRing)->UseRealTime();
+// Pure cross-thread transfer cost, no detection work: the batch-granular
+// BatchRing (one release store per ~128 observations, observations
+// copy-assigned into recycled slots). Consumer-side waits yield so the
+// number stays meaningful on a single-CPU runner.
 
 void BM_HandoffBatchRing(benchmark::State& state) {
   pipeline::BatchRing ring(8, 128);

@@ -41,62 +41,62 @@ bool MonitoringService::compute_legitimate(const VantageView& view,
   return true;
 }
 
-void MonitoringService::process(const feeds::Observation& obs) {
-  BatchCursor cursor;
-  process_one(obs, cursor);
-}
-
 void MonitoringService::process_batch(std::span<const feeds::Observation> batch) {
-  BatchCursor cursor;
-  for (const auto& obs : batch) process_one(obs, cursor);
-}
-
-void MonitoringService::process_one(const feeds::Observation& obs,
-                                    BatchCursor& cursor) {
-  // Owned-prefix match memo: archive windows repeat prefixes in bursts,
-  // and for the (typical) non-owned majority the memo also short-circuits
-  // the scan.
-  if (!cursor.prefix_valid || cursor.prefix != obs.prefix) {
-    const OwnershipRef ref = table_->match(obs.prefix);
-    cursor.owned = ref ? &table_->entry(ref) : nullptr;
-    cursor.prefix = obs.prefix;
-    cursor.prefix_valid = true;
-  }
-  const OwnedPrefix* owned = cursor.owned;
-  if (owned == nullptr) return;
-
-  // Per-vantage view memo: one map walk per run of equal vantages.
-  if (cursor.view == nullptr || cursor.vantage != obs.vantage) {
-    cursor.view = &vantages_[obs.vantage];
-    cursor.vantage = obs.vantage;
-  }
-  auto& view = *cursor.view;
-  if (obs.type == feeds::ObservationType::kWithdrawal) {
-    view.routes.erase(obs.prefix);
-  } else {
-    view.routes.insert(obs.prefix, obs.origin_as());
-  }
-
-  // Recompute legitimacy for every owned prefix this observation touches
-  // (a super-prefix can affect several).
-  for (std::size_t i = 0; i < table_->owned().size(); ++i) {
-    const auto& candidate = table_->owned()[i];
-    if (!candidate.prefix.overlaps(obs.prefix)) continue;
-    const bool legit = compute_legitimate(view, candidate);
-    const auto key = std::make_pair(obs.vantage, i);
-    const auto it = state_.find(key);
-    if (it != state_.end() && it->second == legit) continue;
-    state_[key] = legit;
-    VantageChange change;
-    change.when = obs.delivered_at;
-    change.vantage = obs.vantage;
-    change.owned = candidate.prefix;
-    change.legitimate = legit;
-    if (const auto hit = view.routes.lookup(candidate.prefix.address())) {
-      change.current_origin = *hit->second;
+  // Lookups memoized across one batch (map node pointers are stable
+  // under unrelated insertions, so caching them across observations is
+  // safe; a fresh cursor per call keeps process() behavior unchanged).
+  struct {
+    bgp::Asn vantage = bgp::kNoAsn;
+    VantageView* view = nullptr;
+    bool prefix_valid = false;
+    net::Prefix prefix;
+    const OwnedPrefix* owned = nullptr;
+  } cursor;
+  for (const auto& obs : batch) {
+    // Owned-prefix match memo: archive windows repeat prefixes in bursts,
+    // and for the (typical) non-owned majority the memo also
+    // short-circuits the scan.
+    if (!cursor.prefix_valid || cursor.prefix != obs.prefix) {
+      const OwnershipRef ref = table_->match(obs.prefix);
+      cursor.owned = ref ? &table_->entry(ref) : nullptr;
+      cursor.prefix = obs.prefix;
+      cursor.prefix_valid = true;
     }
-    changes_.push_back(change);
-    for (const auto& handler : handlers_) handler(change);
+    if (cursor.owned == nullptr) continue;
+
+    // Per-vantage view memo: one map walk per run of equal vantages.
+    if (cursor.view == nullptr || cursor.vantage != obs.vantage) {
+      cursor.view = &vantages_[obs.vantage];
+      cursor.vantage = obs.vantage;
+    }
+    auto& view = *cursor.view;
+    if (obs.type == feeds::ObservationType::kWithdrawal) {
+      view.routes.erase(obs.prefix);
+    } else {
+      view.routes.insert(obs.prefix, obs.origin_as());
+    }
+
+    // Recompute legitimacy for every owned prefix this observation
+    // touches (a super-prefix can affect several).
+    for (std::size_t i = 0; i < table_->owned().size(); ++i) {
+      const auto& candidate = table_->owned()[i];
+      if (!candidate.prefix.overlaps(obs.prefix)) continue;
+      const bool legit = compute_legitimate(view, candidate);
+      const auto key = std::make_pair(obs.vantage, i);
+      const auto it = state_.find(key);
+      if (it != state_.end() && it->second == legit) continue;
+      state_[key] = legit;
+      VantageChange change;
+      change.when = obs.delivered_at;
+      change.vantage = obs.vantage;
+      change.owned = candidate.prefix;
+      change.legitimate = legit;
+      if (const auto hit = view.routes.lookup(candidate.prefix.address())) {
+        change.current_origin = *hit->second;
+      }
+      changes_.push_back(change);
+      for (const auto& handler : handlers_) handler(change);
+    }
   }
 }
 

@@ -52,7 +52,9 @@ class MonitoringService {
   void set_ownership(std::shared_ptr<const OwnershipTable> table);
 
   void attach(feeds::MonitorHub& hub);
-  void process(const feeds::Observation& obs);
+
+  /// Feeds one observation. Span-of-one shim over process_batch.
+  void process(const feeds::Observation& obs) { process_batch({&obs, 1}); }
 
   /// Batch-aware processing: semantics identical to calling process()
   /// per observation (every intermediate legitimacy flip is still
@@ -88,19 +90,6 @@ class MonitoringService {
     /// Observed routes overlapping owned space: prefix -> origin AS.
     net::PrefixTrie<bgp::Asn> routes;
   };
-
-  /// Lookups memoized across one batch (map node pointers are stable
-  /// under unrelated insertions, so caching them across observations is
-  /// safe; a fresh cursor per call keeps process() behavior unchanged).
-  struct BatchCursor {
-    bgp::Asn vantage = bgp::kNoAsn;
-    VantageView* view = nullptr;
-    bool prefix_valid = false;
-    net::Prefix prefix;
-    const OwnedPrefix* owned = nullptr;
-  };
-
-  void process_one(const feeds::Observation& obs, BatchCursor& cursor);
 
   /// Sample addresses whose LPM decides legitimacy for `owned` (the two
   /// half-prefix bases, so post-mitigation /24s are judged correctly).

@@ -149,7 +149,7 @@ class OwnershipTable {
 
   /// Monotonic snapshot identity (process-wide): every built table gets
   /// a fresh version, so "did the snapshot change?" is one integer
-  /// compare — the detection prescreen keys its owned-set cache on this.
+  /// compare — e.g. proving a reload reached every shard.
   std::uint64_t version() const { return version_; }
 
  private:

@@ -19,8 +19,10 @@ LegacyPipeline::LegacyPipeline(const core::Config& config, sim::Simulator& sim,
   });
 }
 
-feeds::ObservationHandler LegacyPipeline::inlet() {
-  return [this](const feeds::Observation& obs) { detector_.process(obs); };
+feeds::ObservationBatchHandler LegacyPipeline::inlet() {
+  return [this](std::span<const feeds::Observation> batch) {
+    detector_.process_batch(batch);
+  };
 }
 
 }  // namespace artemis::baseline

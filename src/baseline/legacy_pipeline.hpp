@@ -49,8 +49,8 @@ class LegacyPipeline {
   LegacyPipeline(const core::Config& config, sim::Simulator& sim, OperatorModel model,
                  Rng rng, std::string name);
 
-  /// Handler to subscribe to a feed.
-  feeds::ObservationHandler inlet();
+  /// Handler to subscribe to a feed's batch stream.
+  feeds::ObservationBatchHandler inlet();
 
   const std::string& name() const { return name_; }
 

@@ -19,10 +19,6 @@ BatchFeed::BatchFeed(sim::Network& network, BatchFeedParams params, Rng rng)
   schedule_next_window();
 }
 
-void BatchFeed::subscribe(ObservationHandler handler) {
-  fanout_.add(std::move(handler));
-}
-
 void BatchFeed::subscribe_batch(ObservationBatchHandler handler) {
   fanout_.add_batch(std::move(handler));
 }

@@ -45,9 +45,7 @@ class BatchFeed {
   BatchFeed(const BatchFeed&) = delete;
   BatchFeed& operator=(const BatchFeed&) = delete;
 
-  void subscribe(ObservationHandler handler);
-
-  /// Batch subscribers get one call per published file — the decoded
+  /// Subscribers get one call per published file — the decoded
   /// archive window as a single contiguous batch, in file order. Every
   /// observation is delivered when its file is (delivered_at = file
   /// availability); RIB entries carry the dump time as event_time.

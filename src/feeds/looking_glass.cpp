@@ -78,10 +78,6 @@ void PeriscopeClient::monitor_prefix(const net::Prefix& prefix) {
   monitored_.push_back(prefix);
 }
 
-void PeriscopeClient::subscribe(ObservationHandler handler) {
-  fanout_.add(std::move(handler));
-}
-
 void PeriscopeClient::subscribe_batch(ObservationBatchHandler handler) {
   fanout_.add_batch(std::move(handler));
 }

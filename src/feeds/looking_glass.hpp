@@ -76,9 +76,7 @@ class PeriscopeClient {
   /// Adds a prefix to the polling schedule (typically each owned prefix).
   void monitor_prefix(const net::Prefix& prefix);
 
-  void subscribe(ObservationHandler handler);
-
-  /// Batch subscribers get one call per looking-glass answer (the LPM hit
+  /// Subscribers get one call per looking-glass answer (the LPM hit
   /// plus any more-specifics, restamped to the client's source name).
   void subscribe_batch(ObservationBatchHandler handler);
 

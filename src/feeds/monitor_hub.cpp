@@ -35,18 +35,10 @@ void MonitorHub::set_metrics(telemetry::MetricsRegistry* registry) {
 
 void MonitorHub::register_source_metric(SourceSlot& slot) {
   if (registry_ == nullptr || slot.metric != nullptr) return;
-  // Label values are monitor names (ris-live, bgpmon, ...); escape the
-  // two characters Prometheus label syntax reserves, just in case.
-  std::string escaped;
-  escaped.reserve(slot.name.size());
-  for (const char c : slot.name) {
-    if (c == '\\' || c == '"') escaped.push_back('\\');
-    escaped.push_back(c);
-  }
   slot.metric =
       registry_->counter("artemis_source_observations_total",
                          "Observations published per monitoring source",
-                         "source=\"" + escaped + "\"");
+                         telemetry::prometheus_label("source", slot.name));
 }
 
 void MonitorHub::publish_batch(std::span<const Observation> batch) {
@@ -74,16 +66,8 @@ void MonitorHub::subscribe_batch(ObservationBatchHandler handler) {
   fanout_.add_batch(std::move(handler));
 }
 
-void MonitorHub::subscribe(ObservationHandler handler) {
-  fanout_.add(std::move(handler));
-}
-
 ObservationBatchHandler MonitorHub::batch_inlet() {
   return [this](std::span<const Observation> batch) { publish_batch(batch); };
-}
-
-ObservationHandler MonitorHub::inlet() {
-  return [this](const Observation& obs) { publish(obs); };
 }
 
 std::map<std::string, std::uint64_t> MonitorHub::per_source_counts() const {

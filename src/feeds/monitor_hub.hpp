@@ -6,9 +6,9 @@
 // service subscribes once. The hub also keeps per-source delivery
 // statistics so benches can report per-source vs combined delays (E1).
 //
-// The hub is batch-native: feeds deliver whole batches (one RIS message,
-// one decoded MRT file, one looking-glass answer) via publish_batch();
-// publish() is a thin span-of-one shim for per-observation call sites.
+// The hub is batch-only: feeds deliver whole batches (one RIS message,
+// one decoded MRT file, one looking-glass answer) via publish_batch(),
+// and subscribers receive them as the same spans.
 // Per-source accounting uses an interned source-id table (sorted flat
 // index + flat counter vector), so the steady state does one string
 // binary-search per *run of equal sources* — typically once per batch —
@@ -35,22 +35,12 @@ class MonitorHub {
   /// only borrowed for the call.
   void publish_batch(std::span<const Observation> batch);
 
-  /// Per-observation shim over publish_batch for existing call sites.
-  void publish(const Observation& obs) { publish_batch({&obs, 1}); }
-
   /// Batch subscribers see every delivered batch, in delivery order.
   void subscribe_batch(ObservationBatchHandler handler);
-
-  /// Per-observation subscribers see every observation from every source,
-  /// in delivery order (adapted over the batch stream).
-  void subscribe(ObservationHandler handler);
 
   /// An ObservationBatchHandler that forwards into this hub — hand it to
   /// any feed's subscribe_batch().
   ObservationBatchHandler batch_inlet();
-
-  /// Per-observation inlet for legacy feeds/tests.
-  ObservationHandler inlet();
 
   std::uint64_t total_observations() const { return total_; }
 

@@ -44,11 +44,9 @@ class StreamFeed {
   StreamFeed(const StreamFeed&) = delete;
   StreamFeed& operator=(const StreamFeed&) = delete;
 
-  /// Registers a subscriber; called (in simulated time) per observation.
-  void subscribe(ObservationHandler handler);
-
-  /// Registers a batch subscriber; called once per delivered collector
-  /// message (all observations of one vantage update).
+  /// Registers a subscriber; called (in simulated time) once per
+  /// delivered collector message (all observations of one vantage
+  /// update).
   void subscribe_batch(ObservationBatchHandler handler);
 
   const std::string& name() const { return params_.name; }

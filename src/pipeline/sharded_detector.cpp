@@ -106,20 +106,6 @@ void ShardedDetector::publish_staged() {
   }
 }
 
-void ShardedDetector::submit(const feeds::Observation& obs) {
-  if (!options_.threaded) {
-    shards_[shard_of(obs.prefix, shards_.size())]->service.process(obs);
-    return;
-  }
-  note_producer_thread();
-  stage(obs);
-  // Staging never outlives the submit call: a single-observation stream
-  // gets batches of one (same ring traffic as the old per-observation
-  // handoff, no worse), while callers with real batches use submit_batch
-  // and get the full amortization.
-  publish_staged();
-}
-
 void ShardedDetector::submit_batch(std::span<const feeds::Observation> batch) {
   if (!options_.threaded) {
     if (shards_.size() == 1) {

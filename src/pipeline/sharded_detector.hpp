@@ -21,9 +21,9 @@
 // inline reference.
 //
 // Modes:
-//   * inline (default): submit() dispatches on the calling thread. With
-//     shards == 1 this is the deterministic single-threaded mode the sim
-//     uses — identical to a bare DetectionService, full batch
+//   * inline (default): submit_batch() dispatches on the calling thread.
+//     With shards == 1 this is the deterministic single-threaded mode the
+//     sim uses — identical to a bare DetectionService, full batch
 //     amortization included.
 //   * threaded: one worker per shard drains a BatchRing of recyclable
 //     ObservationBatch slots. The producer scatters each submitted span
@@ -31,7 +31,7 @@
 //     batches — one ring operation per ~drain_batch observations instead
 //     of one per observation — and publishes any partial staging batch
 //     at the end of every submit call, so a quiet stream never strands
-//     observations in the producer. submit*() must be called from a
+//     observations in the producer. submit_batch() must be called from a
 //     single thread (it is the ring producer); a full ring applies
 //     backpressure per the wait policy, never dropping. Alert handlers
 //     run on worker threads in this mode. Workers can optionally be
@@ -104,14 +104,10 @@ class ShardedDetector {
   /// The sharding function: hash of the observed prefix, mod shard count.
   static std::size_t shard_of(const net::Prefix& prefix, std::size_t shard_count);
 
-  /// Routes one observation to its shard (scattered into the shard's
-  /// staging batch and published immediately in threaded mode).
-  /// Single-threaded producers only.
-  void submit(const feeds::Observation& obs);
-
   /// Routes a batch. With shards == 1 the whole span goes through one
   /// process_batch call (full amortization); otherwise elements are
-  /// dispatched in order.
+  /// dispatched in order. Single-threaded producers only; a lone
+  /// observation is a span of one.
   void submit_batch(std::span<const feeds::Observation> batch);
 
   /// Subscribes to a hub's batch stream (observations flow via submit_batch).

@@ -31,6 +31,22 @@ std::string format_i64(std::int64_t v) {
 
 }  // namespace
 
+std::string prometheus_label(std::string_view name, std::string_view value) {
+  std::string out(name);
+  out.reserve(name.size() + value.size() + 3);
+  out += "=\"";
+  for (const char c : value) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
 double HistogramSnapshot::quantile(double q) const noexcept {
   if (total == 0) return 0.0;
   if (q < 0.0) q = 0.0;
@@ -290,13 +306,18 @@ HistogramSnapshot MetricsRegistry::histogram_snapshot(
   return snap;
 }
 
+std::size_t MetricsRegistry::cell_count(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& series : series_) {
+    if (series.name == name) return series.cells.size();
+  }
+  return 0;
+}
+
 DetectionCounters register_detection(MetricsRegistry& registry) {
   DetectionCounters c;
   c.observations = registry.counter("artemis_detection_observations_total",
                                     "Observations processed by detection");
-  c.prescreen_skipped =
-      registry.counter("artemis_detection_prescreen_skipped_total",
-                       "Observations rejected by the SoA prescreen");
   c.memo_hits = registry.counter("artemis_detection_memo_hits_total",
                                  "Classification memo hits within a batch");
   c.dedup_hits =

@@ -115,6 +115,12 @@ class Histogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
+/// One Prometheus label pair, `name="value"`, with the value escaped as
+/// text format 0.0.4 requires (backslash, double quote and line feed).
+/// Label values come from config files and feed names, so every label
+/// body built from one goes through here.
+std::string prometheus_label(std::string_view name, std::string_view value);
+
 /// Named, labeled metric cells with merge-on-read rendering.
 ///
 /// Registration (startup, may allocate): counter()/gauge()/histogram()
@@ -146,6 +152,11 @@ class MetricsRegistry {
   /// Merged snapshot of one histogram series by name (all label sets
   /// and cells combined); empty snapshot if the name is unknown.
   HistogramSnapshot histogram_snapshot(std::string_view name) const;
+
+  /// Registered cells of one series, across all label sets (0 if the
+  /// name is unknown). Rendering merges cells, so only this shows how
+  /// many exist.
+  std::size_t cell_count(std::string_view name) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -182,7 +193,6 @@ class MetricsRegistry {
 /// Detection hot path (one bundle per shard).
 struct DetectionCounters {
   Counter* observations = nullptr;      ///< observations processed
-  Counter* prescreen_skipped = nullptr; ///< prescreen-rejected observations
   Counter* memo_hits = nullptr;         ///< classification memo hits
   Counter* dedup_hits = nullptr;        ///< already-alerted suppressions
   Counter* alerts = nullptr;            ///< fresh alerts emitted

@@ -87,6 +87,11 @@ feeds::Observation hijack_obs(double delivered_at) {
   return obs;
 }
 
+/// Delivers one observation as a batch of one, as a feed would.
+void feed(LegacyPipeline& pipeline, const feeds::Observation& obs) {
+  pipeline.inlet()({&obs, 1});
+}
+
 TEST(LegacyPipelineTest, TimelineStacksDelays) {
   const auto config = victim_config();
   sim::Simulator sim;
@@ -97,7 +102,7 @@ TEST(LegacyPipelineTest, TimelineStacksDelays) {
   model.mitigation_max = SimDuration::minutes(30);
   LegacyPipeline pipeline(config, sim, model, Rng(1), "batch+manual");
 
-  pipeline.inlet()(hijack_obs(900));
+  feed(pipeline, hijack_obs(900));
   const auto timings = pipeline.first_hijack();
   ASSERT_TRUE(timings);
   EXPECT_EQ(timings->data_available_at, SimTime::at_seconds(900));
@@ -110,11 +115,11 @@ TEST(LegacyPipelineTest, OnlyFirstHijackRecorded) {
   const auto config = victim_config();
   sim::Simulator sim;
   LegacyPipeline pipeline(config, sim, OperatorModel{}, Rng(2), "x");
-  pipeline.inlet()(hijack_obs(900));
+  feed(pipeline, hijack_obs(900));
   const auto first = pipeline.first_hijack();
   auto second_obs = hijack_obs(2000);
   second_obs.attrs.as_path = bgp::AsPath({9, 777});  // different offender
-  pipeline.inlet()(second_obs);
+  feed(pipeline, second_obs);
   EXPECT_EQ(pipeline.first_hijack()->data_available_at, first->data_available_at);
 }
 
@@ -124,7 +129,7 @@ TEST(LegacyPipelineTest, LegitimateTrafficNeverTriggers) {
   LegacyPipeline pipeline(config, sim, OperatorModel{}, Rng(3), "x");
   auto obs = hijack_obs(900);
   obs.attrs.as_path = bgp::AsPath({9, 65001});
-  pipeline.inlet()(obs);
+  feed(pipeline, obs);
   EXPECT_FALSE(pipeline.first_hijack());
 }
 
@@ -134,7 +139,7 @@ TEST(LegacyPipelineTest, DelaysSampledWithinModelBounds) {
     sim::Simulator sim;
     OperatorModel model;  // defaults: verify 10-40 min, mitigate 15-60 min
     LegacyPipeline pipeline(config, sim, model, Rng(seed), "x");
-    pipeline.inlet()(hijack_obs(900));
+    feed(pipeline, hijack_obs(900));
     const auto t = pipeline.first_hijack();
     ASSERT_TRUE(t);
     const auto verify = t->verified_at - t->data_available_at;

@@ -188,7 +188,7 @@ TEST(DetectionAllocTest, OwnershipSwapKeepsSteadyStateAllocationFree) {
   }
   batch.push_back(make_obs("10.0.1.0/24", {9, 666}, "ris-live", 101));
   batch.push_back(make_obs("203.0.113.0/24", {9, 666}, "ris-live", 102));
-  detector.process_batch(batch);  // prime records and scratch capacity
+  detector.process_batch(batch);  // prime the dedup records
   ASSERT_EQ(detector.alerts().size(), 2u);
 
   // Cold: freeze the replacement snapshot (same logical config, so the
@@ -425,10 +425,10 @@ TEST(DetectionAllocTest, SteadyStateShardedInlineSubmitIsAllocationFree) {
 TEST(DetectionAllocTest, SteadyStateThreadedBatchRingIsAllocationFree) {
   // The threaded handoff's whole point: after one warm-up lap of the
   // BatchRing pool (slots acquire their element buffers, detection
-  // records exist, prescreen scratch at capacity), submit_batch -> ring
-  // scatter -> worker drain -> flush cycles allocate NOTHING on either
-  // side of the ring, under both wait policies. The counter is global, so
-  // this asserts the worker threads' steady state too.
+  // records exist), submit_batch -> ring scatter -> worker drain ->
+  // flush cycles allocate NOTHING on either side of the ring, under both
+  // wait policies. The counter is global, so this asserts the worker
+  // threads' steady state too.
   for (const auto policy :
        {pipeline::WaitPolicy::kBusyPoll, pipeline::WaitPolicy::kFutex}) {
     Config config;

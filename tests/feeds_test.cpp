@@ -29,6 +29,14 @@ struct FeedsFixture {
   }
 };
 
+/// Subscribes `out` to a feed's batch stream, flattened in delivery order.
+template <typename Feed>
+void collect(Feed& feed, std::vector<Observation>& out) {
+  feed.subscribe_batch([&out](std::span<const Observation> batch) {
+    out.insert(out.end(), batch.begin(), batch.end());
+  });
+}
+
 TEST(StreamFeedTest, DeliversObservationsWithLatency) {
   FeedsFixture f;
   StreamFeedParams params;
@@ -39,7 +47,7 @@ TEST(StreamFeedTest, DeliversObservationsWithLatency) {
   StreamFeed feed(*f.network, params, Rng(7));
 
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(feed, received);
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
@@ -61,7 +69,7 @@ TEST(StreamFeedTest, VantagePathIncludesVantageAsn) {
   params.vantages = {1};
   StreamFeed feed(*f.network, params, Rng(8));
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(feed, received);
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
   ASSERT_FALSE(received.empty());
@@ -75,7 +83,7 @@ TEST(StreamFeedTest, WithdrawalsDelivered) {
   params.vantages = {1};
   StreamFeed feed(*f.network, params, Rng(9));
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(feed, received);
   const auto prefix = net::Prefix::must_parse("10.0.0.0/23");
   f.network->speaker(3).originate(prefix);
   f.network->run_to_convergence();
@@ -96,14 +104,14 @@ TEST(StreamFeedTest, MultipleFeedsOnSameVantageCoexist) {
   b.vantages = {1};
   StreamFeed feed_a(*f.network, a, Rng(1));
   StreamFeed feed_b(*f.network, b, Rng(2));
-  int from_a = 0;
-  int from_b = 0;
-  feed_a.subscribe([&](const Observation&) { ++from_a; });
-  feed_b.subscribe([&](const Observation&) { ++from_b; });
+  std::vector<Observation> from_a;
+  std::vector<Observation> from_b;
+  collect(feed_a, from_a);
+  collect(feed_b, from_b);
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
-  EXPECT_GT(from_a, 0);
-  EXPECT_GT(from_b, 0);
+  EXPECT_FALSE(from_a.empty());
+  EXPECT_FALSE(from_b.empty());
 }
 
 TEST(BatchFeedTest, UpdatesArriveOnlyAtWindowBoundaries) {
@@ -117,7 +125,7 @@ TEST(BatchFeedTest, UpdatesArriveOnlyAtWindowBoundaries) {
   BatchFeed feed(*f.network, params, Rng(3));
 
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(feed, received);
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   auto& sim = f.network->simulator();
@@ -142,10 +150,10 @@ TEST(BatchFeedTest, EmptyWindowsPublishNothing) {
   params.vantages = {1};
   params.interval = SimDuration::minutes(15);
   BatchFeed feed(*f.network, params, Rng(4));
-  int count = 0;
-  feed.subscribe([&](const Observation&) { ++count; });
+  std::vector<Observation> received;
+  collect(feed, received);
   f.network->simulator().run_until(SimTime::at_seconds(3600));
-  EXPECT_EQ(count, 0);
+  EXPECT_TRUE(received.empty());
   EXPECT_EQ(feed.files_published(), 0u);
 }
 
@@ -160,7 +168,7 @@ TEST(BatchFeedTest, RibDumpSnapshotsFullTable) {
   BatchFeed feed(*f.network, params, Rng(5));
 
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(feed, received);
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->simulator().run_until(SimTime::at_seconds(2 * 3600 + 301));
@@ -257,7 +265,7 @@ TEST(PeriscopeTest, PollsAllGlassesEachInterval) {
   client.monitor_prefix(net::Prefix::must_parse("10.0.0.0/23"));
 
   std::vector<Observation> received;
-  client.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(client, received);
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->simulator().run_until(SimTime::at_seconds(305));
@@ -299,7 +307,7 @@ TEST(BatchFeedTest, MultipleWindowsDeliverInOrder) {
   params.publish_delay = SimDuration::seconds(30);
   BatchFeed feed(*f.network, params, Rng(11));
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  collect(feed, received);
 
   auto& sim = f.network->simulator();
   const auto prefix = net::Prefix::must_parse("10.0.0.0/23");
@@ -331,12 +339,14 @@ TEST(StreamFeedTest, DeterministicGivenSeed) {
     StreamFeedParams params;
     params.vantages = {1, 2};
     StreamFeed feed(*f.network, params, Rng(seed));
-    std::vector<double> deliveries;
-    feed.subscribe([&](const Observation& obs) {
-      deliveries.push_back(obs.delivered_at.as_seconds());
-    });
+    std::vector<Observation> received;
+    collect(feed, received);
     f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
     f.network->run_to_convergence();
+    std::vector<double> deliveries;
+    for (const auto& obs : received) {
+      deliveries.push_back(obs.delivered_at.as_seconds());
+    }
     return deliveries;
   };
   EXPECT_EQ(run(5), run(5));
@@ -351,7 +361,6 @@ TEST(StreamFeedTest, BatchSubscribersSeeWholeMessages) {
 
   std::size_t batch_count = 0;
   std::size_t batched_total = 0;
-  std::vector<Observation> per_obs;
   feed.subscribe_batch([&](std::span<const Observation> batch) {
     ++batch_count;
     batched_total += batch.size();
@@ -362,14 +371,11 @@ TEST(StreamFeedTest, BatchSubscribersSeeWholeMessages) {
       EXPECT_EQ(obs.vantage, batch.front().vantage);
     }
   });
-  feed.subscribe([&](const Observation& obs) { per_obs.push_back(obs); });
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
 
   EXPECT_GT(batch_count, 0u);
-  // Per-observation subscribers see exactly the flattened batch stream.
-  EXPECT_EQ(per_obs.size(), batched_total);
   EXPECT_EQ(feed.delivered_count(), batched_total);
 }
 
@@ -396,17 +402,17 @@ TEST(BatchFeedTest, FilesArriveAsSingleBatches) {
 
 TEST(MonitorHubTest, FanOutAndCounters) {
   MonitorHub hub;
-  int a = 0;
-  int b = 0;
-  hub.subscribe([&](const Observation&) { ++a; });
-  hub.subscribe([&](const Observation&) { ++b; });
+  std::vector<Observation> a;
+  std::vector<Observation> b;
+  collect(hub, a);
+  collect(hub, b);
   Observation obs;
   obs.source = "ris-live";
-  hub.publish(obs);
+  hub.publish_batch({&obs, 1});
   obs.source = "bgpmon";
-  hub.inlet()(obs);
-  EXPECT_EQ(a, 2);
-  EXPECT_EQ(b, 2);
+  hub.batch_inlet()({&obs, 1});
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(hub.total_observations(), 2u);
   EXPECT_EQ(hub.per_source_counts().at("ris-live"), 1u);
   EXPECT_EQ(hub.per_source_counts().at("bgpmon"), 1u);

@@ -469,7 +469,9 @@ TEST(MrtImportTest, ImportReplayRoundTripBitIdentical) {
   pipeline::ShardedDetector described(config_b);
   feeds::MonitorHub described_hub;
   described.attach(described_hub);
-  for (const auto& obs : fixture_expected()) described_hub.publish(obs);
+  for (const auto& obs : fixture_expected()) {
+    described_hub.publish_batch({&obs, 1});
+  }
   expect_same_alerts(described.merged_alerts(), direct_alerts);
 
   // Path C — journal replay at shard counts 1 and 4: bit-identical both

@@ -1,7 +1,7 @@
 // The batched/sharded observation pipeline (src/pipeline/).
 //
-// The two load-bearing suites are the oracles the ISSUE asks for:
-//   * BatchVsLoopOracle — DetectionService::process_batch must equal
+// The two load-bearing suites are oracles:
+//   * PipelineOracleTest — DetectionService::process_batch must equal
 //     repeated process() exactly (alerts, counts, first-seen times).
 //   * ShardedEquivalence — ShardedDetector{N=1} and {N=4}, inline and
 //     threaded, must produce bit-identical merged output.
@@ -37,6 +37,9 @@ Config make_config() {
   OwnedPrefix owned;
   owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
   owned.legitimate_origins.insert(65001);
+  // Only AS3356 may sit next to the origin: with fake-first-hop
+  // detection on, a legitimate origin behind any other hop alerts.
+  owned.legitimate_neighbors.insert(3356);
   config.add_owned(std::move(owned));
   OwnedPrefix second;
   second.prefix = net::Prefix::must_parse("192.0.2.0/24");
@@ -61,8 +64,9 @@ Observation make_obs(std::string_view prefix, std::vector<bgp::Asn> path,
 
 /// A mixed scenario stream: hijacks against both owned prefixes (exact,
 /// sub-prefix, super-prefix), legitimate announcements, unrelated noise,
-/// several sources and offenders, with bursty repetition — the shape a
-/// real merged feed has.
+/// several sources, offenders and first hops, with bursty repetition —
+/// the shape a real merged feed has. One burst in three alternates its
+/// first hop, so neighbouring observations differ only in that hop.
 std::vector<Observation> scenario_stream(std::uint64_t seed, int count) {
   Rng rng(seed);
   const std::vector<std::string> prefixes = {
@@ -75,6 +79,7 @@ std::vector<Observation> scenario_stream(std::uint64_t seed, int count) {
       "198.51.100.0/24" // unrelated
   };
   const std::vector<bgp::Asn> origins = {666, 667, 65001, 65002};
+  const std::vector<bgp::Asn> hops = {3356, 174, 1299};
   const std::vector<std::string> sources = {"ris-live", "bgpmon", "periscope"};
   std::vector<Observation> stream;
   stream.reserve(static_cast<std::size_t>(count));
@@ -84,10 +89,14 @@ std::vector<Observation> scenario_stream(std::uint64_t seed, int count) {
         rng.uniform_int(0, static_cast<std::int64_t>(prefixes.size()) - 1))];
     const auto origin = origins[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     const auto& source = sources[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    const auto hop = rng.uniform_int(0, 2);
+    const bool alternate_hops = rng.uniform_int(0, 2) == 0;
     const auto burst = rng.uniform_int(1, 6);
     for (std::int64_t b = 0; b < burst && static_cast<int>(stream.size()) < count; ++b) {
       t += 0.25;
-      stream.push_back(make_obs(prefix, {9, 3356, origin}, source, t));
+      const auto first_hop =
+          hops[static_cast<std::size_t>(alternate_hops ? (hop + b) % 3 : hop)];
+      stream.push_back(make_obs(prefix, {9, first_hop, origin}, source, t));
     }
   }
   return stream;
@@ -176,38 +185,63 @@ TEST(ObservationBatchTest, PopBackUndoesEmplace) {
 
 // ------------------------------------------------------- batch-vs-loop oracle
 
+/// The batch-vs-loop oracle: `stream` fed through process() one by one
+/// must equal process_batch at every chunk size, pathological ones
+/// included (1, prime, larger than the stream), in counters, alerts,
+/// per-alert observation counts and per-source first-seen times. Runs
+/// with fake-first-hop detection off and on: the classification memo
+/// keys on the first hop, and only that option lets the hop decide.
+void expect_batch_equals_loop(const Config& config, DetectionOptions options,
+                              const std::vector<Observation>& stream) {
+  for (const bool fake_first_hop : {false, true}) {
+    SCOPED_TRACE(fake_first_hop ? "fake-first-hop on" : "fake-first-hop off");
+    options.detect_fake_first_hop = fake_first_hop;
+    DetectionService loop_service(config, options);
+    for (const auto& obs : stream) loop_service.process(obs);
+
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                    std::size_t{997}, stream.size() + 1}) {
+      SCOPED_TRACE("chunk=" + std::to_string(chunk));
+      DetectionService batch_service(config, options);
+      for (std::size_t i = 0; i < stream.size(); i += chunk) {
+        const std::size_t n = std::min(chunk, stream.size() - i);
+        batch_service.process_batch({stream.data() + i, n});
+      }
+      EXPECT_EQ(batch_service.observations_processed(),
+                loop_service.observations_processed());
+      EXPECT_EQ(batch_service.observations_matched(),
+                loop_service.observations_matched());
+      ASSERT_EQ(batch_service.alerts().size(), loop_service.alerts().size());
+      for (std::size_t i = 0; i < loop_service.alerts().size(); ++i) {
+        expect_same_alert(batch_service.alerts()[i], loop_service.alerts()[i]);
+        const AlertKey key = loop_service.alerts()[i].key();
+        EXPECT_EQ(batch_service.observation_count(key),
+                  loop_service.observation_count(key));
+        const auto* loop_seen = loop_service.first_seen_by_source(key);
+        const auto* batch_seen = batch_service.first_seen_by_source(key);
+        ASSERT_NE(loop_seen, nullptr);
+        ASSERT_NE(batch_seen, nullptr);
+        EXPECT_EQ(*loop_seen, *batch_seen);
+      }
+    }
+  }
+}
+
 TEST(PipelineOracleTest, ProcessBatchEqualsRepeatedProcess) {
   const Config config = make_config();
   const auto stream = scenario_stream(42, 3000);
+  expect_batch_equals_loop(config, {}, stream);
 
-  DetectionService loop_service(config);
-  for (const auto& obs : stream) loop_service.process(obs);
-
-  // Feed the identical stream through process_batch at several chunk
-  // sizes, including pathological ones (1, prime, larger than stream).
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                                  std::size_t{997}, stream.size() + 1}) {
-    DetectionService batch_service(config);
-    for (std::size_t i = 0; i < stream.size(); i += chunk) {
-      const std::size_t n = std::min(chunk, stream.size() - i);
-      batch_service.process_batch({stream.data() + i, n});
-    }
-    EXPECT_EQ(batch_service.observations_processed(),
-              loop_service.observations_processed());
-    EXPECT_EQ(batch_service.observations_matched(), loop_service.observations_matched());
-    ASSERT_EQ(batch_service.alerts().size(), loop_service.alerts().size())
-        << "chunk=" << chunk;
-    for (std::size_t i = 0; i < loop_service.alerts().size(); ++i) {
-      expect_same_alert(batch_service.alerts()[i], loop_service.alerts()[i]);
-      const AlertKey key = loop_service.alerts()[i].key();
-      EXPECT_EQ(batch_service.observation_count(key), loop_service.observation_count(key));
-      const auto* loop_seen = loop_service.first_seen_by_source(key);
-      const auto* batch_seen = batch_service.first_seen_by_source(key);
-      ASSERT_NE(loop_seen, nullptr);
-      ASSERT_NE(batch_seen, nullptr);
-      EXPECT_EQ(*loop_seen, *batch_seen);
-    }
-  }
+  // The stream reaches the first-hop check: with the option on, the
+  // owned prefix with configured neighbours raises such alerts.
+  DetectionOptions options;
+  options.detect_fake_first_hop = true;
+  DetectionService service(config, options);
+  service.process_batch(stream);
+  EXPECT_TRUE(std::any_of(service.alerts().begin(), service.alerts().end(),
+                          [](const HijackAlert& alert) {
+                            return alert.type == core::HijackType::kFakeFirstHop;
+                          }));
 }
 
 TEST(PipelineOracleTest, MemoizationRespectsTypeAndPathChanges) {
@@ -228,49 +262,26 @@ TEST(PipelineOracleTest, MemoizationRespectsTypeAndPathChanges) {
   EXPECT_EQ(service.observations_processed(), 5u);
 }
 
-// The SIMD prescreen only engages on batches >= 16 with a small owned set
-// and no ROA table; in every configuration the batch-vs-loop equivalence
-// must hold bit-for-bit. These pin the prescreen's enable/disable edges
-// that the generic oracle above exercises only incidentally.
-
-/// Runs `stream` through process() one-by-one and through process_batch
-/// as a single span, asserting identical counters and alerts.
-void expect_batch_equals_loop(const Config& config, DetectionOptions options,
-                              const std::vector<Observation>& stream) {
-  DetectionService loop_service(config, options);
-  for (const auto& obs : stream) loop_service.process(obs);
-  DetectionService batch_service(config, options);
-  batch_service.process_batch(stream);
-  EXPECT_EQ(batch_service.observations_processed(),
-            loop_service.observations_processed());
-  EXPECT_EQ(batch_service.observations_matched(),
-            loop_service.observations_matched());
-  ASSERT_EQ(batch_service.alerts().size(), loop_service.alerts().size());
-  for (std::size_t i = 0; i < loop_service.alerts().size(); ++i) {
-    expect_same_alert(batch_service.alerts()[i], loop_service.alerts()[i]);
-  }
-}
-
-TEST(PrescreenOracleTest, AllIrrelevantBatchSkipsButCountsEverything) {
+TEST(PipelineOracleTest, AllIrrelevantBatchCountsEverything) {
   const Config config = make_config();
   std::vector<Observation> stream;
-  for (int i = 0; i < 64; ++i) {  // >= 16: prescreen engages, zero overlap
+  for (int i = 0; i < 64; ++i) {  // no overlap with owned space at all
     stream.push_back(make_obs("203.0.113.0/24", {9, 3356, 666}, "ris-live",
                               100.0 + i));
   }
   DetectionService service(config);
   service.process_batch(stream);
-  EXPECT_EQ(service.observations_processed(), 64u);  // skipped != uncounted
+  EXPECT_EQ(service.observations_processed(), 64u);  // unmatched != uncounted
   EXPECT_EQ(service.observations_matched(), 0u);
   EXPECT_TRUE(service.alerts().empty());
   expect_batch_equals_loop(config, {}, stream);
 }
 
-TEST(PrescreenOracleTest, MixedBatchWithWithdrawalsAndSubprefixes) {
+TEST(PipelineOracleTest, MixedBatchWithWithdrawalsAndSubprefixes) {
   const Config config = make_config();
   auto stream = scenario_stream(21, 500);
-  // Withdrawals never classify; the prescreen must mark them irrelevant
-  // even when their prefix overlaps owned space.
+  // Withdrawals never classify, even when their prefix overlaps owned
+  // space and they sit between announcements of the same prefix.
   for (std::size_t i = 0; i < stream.size(); i += 7) {
     stream[i].type = ObservationType::kWithdrawal;
     stream[i].attrs = {};
@@ -278,9 +289,9 @@ TEST(PrescreenOracleTest, MixedBatchWithWithdrawalsAndSubprefixes) {
   expect_batch_equals_loop(config, {}, stream);
 }
 
-TEST(PrescreenOracleTest, RoaTableDisablesPrescreenNotDetection) {
+TEST(PipelineOracleTest, RoaTableAlertsOutsideOwnedSpace) {
   // With a ROA table, observations outside owned space can still raise
-  // kRpkiInvalid — the prescreen must stand down rather than skip them.
+  // kRpkiInvalid.
   const Config config = make_config();
   rpki::RoaTable roas;
   roas.add({net::Prefix::must_parse("203.0.113.0/24"), 64500, 0});
@@ -288,8 +299,7 @@ TEST(PrescreenOracleTest, RoaTableDisablesPrescreenNotDetection) {
   options.roa_table = &roas;
   std::vector<Observation> stream;
   for (int i = 0; i < 48; ++i) {
-    // Outside owned space, violates the ROA: must alert despite being
-    // prescreen-irrelevant by the overlap test.
+    // Outside owned space, violates the ROA: must alert.
     stream.push_back(make_obs("203.0.113.0/24", {9, 3356, 666}, "ris-live",
                               100.0 + i));
   }
@@ -299,10 +309,8 @@ TEST(PrescreenOracleTest, RoaTableDisablesPrescreenNotDetection) {
   expect_batch_equals_loop(config, options, stream);
 }
 
-TEST(PrescreenOracleTest, LargeOwnedSetFallsBackToScalarPath) {
-  // > 16 owned prefixes: the O(batch x owned) compare loop would cost
-  // more than it saves, so the prescreen disables itself. Equivalence
-  // must hold either way.
+TEST(PipelineOracleTest, LargeOwnedSet) {
+  // More than 16 owned prefixes, most of them never announced.
   Config config = make_config();
   for (int i = 0; i < 20; ++i) {
     OwnedPrefix extra;
@@ -412,7 +420,8 @@ TEST(ShardedDetectorTest, ThreadedLateHandlerRegistrationThrows) {
   options.threaded = true;
   ShardedDetector detector(config, options);
   detector.on_alert([](const HijackAlert&) {});  // before submit: fine
-  detector.submit(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100));
+  const Observation obs = make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100);
+  detector.submit_batch({&obs, 1});
   // After observations are in flight, registration would race the
   // workers' handler iteration.
   EXPECT_THROW(detector.on_alert([](const HijackAlert&) {}), std::logic_error);
@@ -698,7 +707,8 @@ TEST(ShardedDetectorTest, ReloadFromNonProducerThreadThrows) {
   options.shards = 2;
   options.threaded = true;
   ShardedDetector detector(config, options);
-  detector.submit(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100));
+  const Observation obs = make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100);
+  detector.submit_batch({&obs, 1});
   const auto table = config.build_table();
   std::exception_ptr thrown;
   std::thread([&] {
@@ -722,7 +732,8 @@ TEST(ShardedDetectorTest, FlushFromNonProducerThreadThrows) {
   options.shards = 2;
   options.threaded = true;
   ShardedDetector detector(config, options);
-  detector.submit(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100));
+  const Observation obs = make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100);
+  detector.submit_batch({&obs, 1});
   std::thread other([&] {
     EXPECT_THROW(detector.flush(), std::logic_error);
   });
@@ -733,16 +744,14 @@ TEST(ShardedDetectorTest, FlushFromNonProducerThreadThrows) {
 
 // ------------------------------------------------------------- hub batching
 
-TEST(MonitorHubBatchTest, BatchAndPerObservationSubscribersAgree) {
+TEST(MonitorHubBatchTest, MixedSourceBatchesSplitPerSourceCounts) {
   feeds::MonitorHub hub;
   std::size_t batch_total = 0;
   std::size_t batch_calls = 0;
-  std::size_t per_obs_total = 0;
   hub.subscribe_batch([&](std::span<const Observation> batch) {
     ++batch_calls;
     batch_total += batch.size();
   });
-  hub.subscribe([&](const Observation&) { ++per_obs_total; });
 
   std::vector<Observation> batch;
   for (int i = 0; i < 5; ++i) {
@@ -756,7 +765,6 @@ TEST(MonitorHubBatchTest, BatchAndPerObservationSubscribersAgree) {
 
   EXPECT_EQ(batch_calls, 2u);
   EXPECT_EQ(batch_total, 16u);
-  EXPECT_EQ(per_obs_total, 16u);
   EXPECT_EQ(hub.total_observations(), 16u);
   // Mixed-source batch: the run-length accounting still splits correctly.
   EXPECT_EQ(hub.source_count("ris-live"), 10u);
@@ -772,7 +780,7 @@ TEST(MonitorHubBatchTest, InternKeepsIdsStableAcrossInsertionOrder) {
   for (const char* name : {"zebra", "alpha", "zebra", "mid", "alpha", "zebra"}) {
     Observation obs;
     obs.source = name;
-    hub.publish(obs);
+    hub.publish_batch({&obs, 1});
   }
   EXPECT_EQ(hub.source_count("zebra"), 3u);
   EXPECT_EQ(hub.source_count("alpha"), 2u);

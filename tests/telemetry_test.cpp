@@ -20,6 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "artemis/config.hpp"
+#include "artemis/detection.hpp"
+#include "feeds/monitor_hub.hpp"
 #include "ingest/fault_server.hpp"
 #include "ingest/fixture.hpp"
 #include "ingest/http.hpp"
@@ -210,6 +213,70 @@ TEST(MetricsRegistryTest, HistogramRenderIsCumulativeAndParseable) {
   EXPECT_NE(text.find("artemis_test_delay_seconds_sum 0.001003"),
             std::string::npos)
       << text;
+}
+
+TEST(MetricsRegistryTest, LabelValuesEscapeLineFeeds) {
+  // Tenant names come from the config file and source names from the
+  // feeds. A line feed, quote or backslash in either must stay inside
+  // its label value instead of starting a forged sample line.
+  const auto config = core::Config::from_json_text(R"({"schema_version":2,
+    "tenants":[{"name":"acme\nartemis_fake_total 99",
+                "prefixes":[{"prefix":"10.0.0.0/23","origins":[65001]}]}]})");
+  MetricsRegistry registry;
+  core::DetectionService detection(config);
+  detection.set_tenant_metrics(&registry);
+  feeds::MonitorHub hub;
+  hub.set_metrics(&registry);
+  feeds::Observation obs;
+  obs.source = "ris\\live \"eu\"\nartemis_fake_total 98";
+  hub.publish_batch({&obs, 1});
+
+  const std::string text = registry.render_prometheus();
+  expect_parseable_prometheus(text);
+  EXPECT_EQ(text.find("\nartemis_fake_total"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"(artemis_tenant_alerts_total{tenant="acme\nartemis_fake_total 99"} 0)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find(
+          R"(artemis_source_observations_total{source="ris\\live \"eu\"\nartemis_fake_total 98"} 1)"),
+      std::string::npos)
+      << text;
+}
+
+TEST(MetricsRegistryTest, ReloadsReuseTenantCells) {
+  // Every reload re-resolves the per-tenant alert cells by tenant name:
+  // an unchanged config finds its cells again instead of registering
+  // new ones, and the counts carry across reloads.
+  const std::string text = R"({"schema_version":2,"tenants":[
+    {"name":"acme","prefixes":[{"prefix":"10.0.0.0/23","origins":[65001]}]},
+    {"name":"globex","prefixes":[{"prefix":"192.0.2.0/24","origins":[65002]}]}]})";
+  MetricsRegistry registry;
+  pipeline::ShardedDetectorOptions options;
+  options.shards = 3;
+  options.metrics = &registry;
+  pipeline::ShardedDetector detector(core::Config::from_json_text(text), options);
+  EXPECT_EQ(registry.cell_count("artemis_tenant_alerts_total"), 6u);
+
+  feeds::Observation hijack;
+  hijack.source = "ris-live";
+  hijack.prefix = net::Prefix::must_parse("10.0.0.0/23");
+  hijack.attrs.as_path = bgp::AsPath({9, 666});
+  detector.submit_batch({&hijack, 1});
+  for (int i = 0; i < 100; ++i) {
+    detector.reload(core::Config::from_json_text(text).build_table());
+  }
+  EXPECT_EQ(registry.cell_count("artemis_tenant_alerts_total"), 6u);
+  hijack.prefix = net::Prefix::must_parse("192.0.2.0/24");
+  detector.submit_batch({&hijack, 1});
+
+  const std::string page = registry.render_prometheus();
+  EXPECT_NE(page.find("artemis_tenant_alerts_total{tenant=\"acme\"} 1\n"),
+            std::string::npos)
+      << page;
+  EXPECT_NE(page.find("artemis_tenant_alerts_total{tenant=\"globex\"} 1\n"),
+            std::string::npos)
+      << page;
 }
 
 TEST(MetricsRegistryTest, SnapshotJsonCarriesHistogramPercentiles) {

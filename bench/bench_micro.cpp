@@ -4,11 +4,13 @@
 // (~10^2-10^3 updates/s at the collectors ARTEMIS subscribes to).
 #include <benchmark/benchmark.h>
 
+#include "artemis/config.hpp"
 #include "artemis/detection.hpp"
 #include "bgp/rib.hpp"
-#include "json/json.hpp"
 #include "mrt/mrt.hpp"
 #include "netbase/prefix_trie.hpp"
+#include "pipeline/sharded_detector.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 using namespace artemis;
@@ -221,6 +223,27 @@ BENCHMARK(BM_OwnershipColdLoad)
     ->ArgNames({"prefixes", "tenants"})
     ->Unit(benchmark::kMillisecond);
 
+void BM_OwnershipTextLoad(benchmark::State& state) {
+  // The text -> table half BM_OwnershipColdLoad skips: a full-scale v2
+  // config as serialized text (~45 MiB at 1M prefixes), parsed in one pass
+  // and frozen into the snapshot, as a process start or a SIGHUP reload
+  // of that file does.
+  const auto prefixes = static_cast<std::size_t>(state.range(0));
+  const auto tenants = static_cast<std::size_t>(state.range(1));
+  const std::string text = ownership_config(prefixes, tenants).to_json().dump();
+  for (auto _ : state) {
+    const auto table = core::Config::from_json_text(text).build_table();
+    if (table->owned().size() != prefixes) state.SkipWithError("lost entries");
+    benchmark::DoNotOptimize(table.get());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(prefixes));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_OwnershipTextLoad)
+    ->Args({1 << 20, 1000})
+    ->ArgNames({"prefixes", "tenants"})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_OwnershipLookup(benchmark::State& state) {
   // The steady-state half of the acceptance bar: a multi-tenant match
   // must stay within 2x of the single-tenant Config::match cost at equal
@@ -243,20 +266,46 @@ BENCHMARK(BM_OwnershipLookup)
     ->Args({900000, 1000})
     ->ArgNames({"prefixes", "tenants"});
 
-void BM_JsonParseConfig(benchmark::State& state) {
-  const std::string text = R"({
-    "prefixes": [
-      {"prefix": "10.0.0.0/23", "origins": [65001], "neighbors": [174, 3356]},
-      {"prefix": "192.0.2.0/24", "origins": [65001, 65002]}
-    ],
-    "mitigation": {"deaggregation_floor": 24, "reannounce_exact": true}
-  })";
+/// The benchmark's live reload text (perfbench gen::Ownership at small
+/// scale, reload form): v2, tenant "default" with 14 prefixes (10 v4
+/// /16s, 4 v6 /40s) and tenant "late" with 2, compact, keys in the
+/// generator's order.
+std::string live_reload_config_text() {
+  const auto entry = [](const std::string& prefix, int origin) {
+    return "{\"prefix\":\"" + prefix + "\",\"origins\":[" + std::to_string(origin) + "]}";
+  };
+  const std::string mitigation =
+      "\"mitigation\":{\"deaggregation_floor\":24,\"reannounce_exact\":true,"
+      "\"auto_mitigate\":true}";
+  std::string text = "{\"schema_version\":2,\"tenants\":[{\"name\":\"default\",\"prefixes\":[";
+  for (int i = 0; i < 14; ++i) {
+    if (i != 0) text += ',';
+    text += entry(i < 10 ? "10." + std::to_string(16 * i) + ".0.0/16"
+                         : "2001:db8:" + std::to_string(i - 9) + "000::/40",
+                  65001);
+  }
+  text += "]," + mitigation + "},{\"name\":\"late\",\"prefixes\":[" +
+          entry("10.200.0.0/16", 65100) + "," + entry("2001:db8:f000::/40", 65100) + "]," +
+          mitigation + "}]}";
+  return text;
+}
+
+void BM_ConfigReload(benchmark::State& state) {
+  // The SIGHUP path at the live benchmark's scale (16 prefixes, 2
+  // tenants): parse the config text, build the ownership table, swap it
+  // into an instrumented inline detector. The live ingest loop runs this
+  // at a batch boundary, so its cost lands on alert latency.
+  const std::string text = live_reload_config_text();
+  telemetry::MetricsRegistry registry;
+  pipeline::ShardedDetectorOptions options;
+  options.metrics = &registry;
+  pipeline::ShardedDetector detector(core::Config::from_json_text(text), options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Config::from_json_text(text));
+    detector.reload(core::Config::from_json_text(text).build_table());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_JsonParseConfig);
+BENCHMARK(BM_ConfigReload);
 
 void BM_BetterRoute(benchmark::State& state) {
   bgp::Route a;

@@ -8,6 +8,11 @@
 # BM_MrtDecodeMpReach) ride along with no changes here; the GATED subset
 # lives in .github/workflows/ci.yml (--benchmark flags).
 #
+# The merged report's "context" also records the CMake build type of
+# build_dir as "artemis_build_type" (google-benchmark's own
+# "library_build_type" describes the installed libbenchmark, not this
+# code), so a Debug-built point cannot pass for a Release one.
+#
 # Usage: bench/record_bench.sh [build_dir] [out_dir]
 #   BENCH_MIN_TIME  google-benchmark --benchmark_min_time value
 #                   (default 0.05; CI wants fast smoke runs)
@@ -40,11 +45,13 @@ for bin in "${BINS[@]}"; do
   reports+=("$tmpdir/$bin.json")
 done
 
-python3 - "$out" "${reports[@]}" <<'EOF'
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true)"
+python3 - "$out" "${build_type:-unknown}" "${reports[@]}" <<'EOF'
 import json, sys
-out_path, first, *rest = sys.argv[1:]
+out_path, build_type, first, *rest = sys.argv[1:]
 with open(first) as f:
     merged = json.load(f)
+merged["context"]["artemis_build_type"] = build_type
 for path in rest:
     with open(path) as f:
         merged["benchmarks"].extend(json.load(f)["benchmarks"])

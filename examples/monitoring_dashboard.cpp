@@ -11,9 +11,10 @@
 //   and used, so the example is runnable out of the box.
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 
 #include "artemis/experiment.hpp"
-#include "json/json.hpp"
 #include "topology/generator.hpp"
 
 using namespace artemis;
@@ -48,7 +49,11 @@ int main(int argc, char** argv) {
     std::printf("no config given; wrote sample to %s\n\n", config_path.c_str());
   }
 
-  core::Config config = core::Config::from_json(json::parse_file(config_path));
+  std::ifstream in(config_path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open file: " + config_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  core::Config config = core::Config::from_json_text(text.str());
   std::printf("loaded config: %zu owned prefix(es), auto_mitigate=%s\n",
               config.owned().size(),
               config.mitigation().auto_mitigate ? "true" : "false");

@@ -1,48 +1,15 @@
 #include "artemis/config.hpp"
 
+#include <array>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
+
+#include "json/reader.hpp"
 
 namespace artemis::core {
 
 namespace {
-
-bgp::Asn parse_asn(const json::Value& value, const char* what) {
-  const auto asn = value.as_int();
-  if (asn <= 0 || asn > 0xFFFFFFFFLL) {
-    throw std::invalid_argument(std::string("bad ") + what + " ASN");
-  }
-  return static_cast<bgp::Asn>(asn);
-}
-
-/// One {"prefix","origins","neighbors"} entry — shared by both schemas.
-OwnedPrefix parse_owned_entry(const json::Value& entry) {
-  OwnedPrefix owned;
-  const auto prefix_text = entry.at("prefix").as_string();
-  const auto prefix = net::Prefix::parse(prefix_text);
-  if (!prefix) throw std::invalid_argument("bad prefix: " + prefix_text);
-  owned.prefix = *prefix;
-  for (const auto& origin : entry.at("origins").as_array()) {
-    owned.legitimate_origins.insert(parse_asn(origin, "origin"));
-  }
-  if (const auto* neighbors = entry.find("neighbors")) {
-    for (const auto& neighbor : neighbors->as_array()) {
-      owned.legitimate_neighbors.insert(parse_asn(neighbor, "neighbor"));
-    }
-  }
-  return owned;
-}
-
-MitigationPolicy parse_mitigation(const json::Value& mitigation) {
-  MitigationPolicy policy;
-  policy.deaggregation_floor =
-      static_cast<int>(mitigation.get_int("deaggregation_floor", 24));
-  if (policy.deaggregation_floor < 1 || policy.deaggregation_floor > 32) {
-    throw std::invalid_argument("deaggregation_floor out of range");
-  }
-  policy.reannounce_exact = mitigation.get_bool("reannounce_exact", true);
-  policy.auto_mitigate = mitigation.get_bool("auto_mitigate", true);
-  return policy;
-}
 
 json::Value mitigation_to_json(const MitigationPolicy& policy) {
   json::Object mitigation;
@@ -114,53 +81,351 @@ const MitigationPolicy& Config::mitigation() const {
   return tenants_.empty() ? kDefault : tenants_.front().mitigation;
 }
 
-std::shared_ptr<const OwnershipTable> Config::build_table() const {
-  std::vector<TenantInfo> tenants = tenants_;
-  if (tenants.empty()) {
+std::shared_ptr<const OwnershipTable> Config::build_table() const& {
+  return Config(*this).build_table();
+}
+
+std::shared_ptr<const OwnershipTable> Config::build_table() && {
+  if (tenants_.empty()) {
     // Even an empty config snapshots with the default tenant, so tenant
     // id 0 always resolves to a policy.
-    tenants.push_back(TenantInfo{kDefaultTenantId, "default", MitigationPolicy{}});
+    tenants_.push_back(TenantInfo{kDefaultTenantId, "default", MitigationPolicy{}});
   }
-  return std::make_shared<const OwnershipTable>(owned_, std::move(tenants));
+  return std::make_shared<const OwnershipTable>(std::move(owned_), std::move(tenants_));
 }
 
-Config Config::from_json(const json::Value& doc) {
-  Config config;
-  const auto* tenants = doc.find("tenants");
-  const std::int64_t version = doc.get_int("schema_version", tenants ? 2 : 1);
-  if (tenants == nullptr) {
-    // v1: single-operator shape, implicit default tenant.
-    if (version != 1) {
-      throw std::invalid_argument("schema_version " + std::to_string(version) +
-                                  " requires a \"tenants\" array");
+/// from_json_text's one pass: entries go straight into the Config as the
+/// reader reaches them, in whatever member order the text uses.
+///
+/// Fault order is the contract a DOM loader gives for free: it parses
+/// the whole text first (so any syntax error wins), then walks the
+/// schema in a fixed order. Here a syntax error still throws at once,
+/// but a schema fault is only ranked by where that walk would meet it;
+/// the lowest-ranked one is thrown after the text has been read.
+class ConfigLoader {
+ public:
+  explicit ConfigLoader(std::string_view text) : in_(text) {}
+
+  Config load() {
+    if (in_.peek() != json::Type::kObject) {
+      in_.skip_value();
+      in_.finish();
+      throw json::JsonError("config must be a JSON object at offset 0");
     }
-    if (const auto* mitigation = doc.find("mitigation")) {
-      config.mitigation() = parse_mitigation(*mitigation);
+    unsigned seen = 0;
+    std::int64_t version = 0;
+    bool version_read = false;
+    std::size_t version_at = 0;
+    std::string_view key;
+    in_.begin_object();
+    while (in_.next_member(key)) {
+      if (key == "schema_version") {
+        once(seen, kVersionMember, key);
+        version_read = read_int(version, Rank{0}, key);
+        version_at = value_at_;
+      } else if (key == "tenants") {
+        once(seen, kTenantsMember, key);
+        // A v2 document: the v1 members read so far do not count.
+        config_ = Config{};
+        if (fault_ && fault_->rank[0] >= 2) fault_.reset();
+        v2_ = true;
+        read_tenants();
+      } else if (key == "prefixes") {
+        once(seen, kPrefixesMember, key);
+        if (v2_) {
+          in_.skip_value();
+        } else {
+          read_entries(kDefaultTenantId);
+        }
+      } else if (key == "mitigation") {
+        once(seen, kMitigationMember, key);
+        if (v2_) {
+          in_.skip_value();
+        } else {
+          config_.mitigation() = read_mitigation();
+        }
+      } else {
+        in_.skip_value();
+      }
     }
-    for (const auto& entry : doc.at("prefixes").as_array()) {
-      config.add_owned(parse_owned_entry(entry));
+    in_.finish();
+    if (version_read && version != (v2_ ? 2 : 1)) {
+      if (v2_) {
+        fault(Rank{1}, false, version_at, {"\"tenants\" requires schema_version 2"});
+      } else {
+        fault(Rank{1}, false, version_at,
+              {"schema_version ", std::to_string(version), " requires a \"tenants\" array"});
+      }
     }
-    return config;
+    if (!v2_ && (seen & kPrefixesMember) == 0) {
+      fault(Rank{3}, true, in_.offset(), {"missing key: prefixes"});
+    }
+    if (fault_) {
+      if (fault_->json) throw json::JsonError(fault_->message);
+      throw std::invalid_argument(fault_->message);
+    }
+    return std::move(config_);
   }
-  if (version != 2) {
-    throw std::invalid_argument("\"tenants\" requires schema_version 2");
+
+ private:
+  /// Where the DOM walk meets a fault, compared lexicographically:
+  ///   {0} schema_version mistyped, {1} version/schema mismatch;
+  ///   v1: {2, field} mitigation, {3} prefixes, {4, entry, part, element};
+  ///   v2: {2} tenants, {3, tenant, 0, field} mitigation, {3, tenant, 1}
+  ///       name, {3, tenant, 2} name rejected, {3, tenant, 3} prefixes,
+  ///       {3, tenant, 4, entry, part, element}.
+  using Rank = std::array<std::uint64_t, 6>;
+
+  /// The parts of one owned entry, in the order the walk checks them.
+  enum EntryPart : std::uint64_t {
+    kPrefixPart,
+    kOriginsPart,
+    kOriginPart,
+    kNeighborsPart,
+    kNeighborPart,
+    kNoOriginPart,
+  };
+
+  enum Member : unsigned {
+    kVersionMember = 1,
+    kTenantsMember = 2,
+    kPrefixesMember = 4,
+    kMitigationMember = 8,
+    kNameMember = 16,
+    kPrefixMember = 32,
+    kOriginsMember = 64,
+    kNeighborsMember = 128,
+    kFloorMember = 256,
+    kReannounceMember = 512,
+    kAutoMember = 1024,
+  };
+
+  struct Fault {
+    Rank rank{};
+    bool json = false;  ///< json::JsonError, else std::invalid_argument
+    std::string message;
+  };
+
+  Rank mitigation_rank(std::uint64_t field) const {
+    return v2_ ? Rank{3, tenant_, 0, field} : Rank{2, field};
   }
-  for (const auto& tenant_doc : tenants->as_array()) {
+  Rank prefixes_rank() const { return v2_ ? Rank{3, tenant_, 3} : Rank{3}; }
+  Rank entry_rank(std::uint64_t part, std::uint64_t element = 0) const {
+    return v2_ ? Rank{3, tenant_, 4, entry_, part, element}
+               : Rank{4, entry_, part, element};
+  }
+
+  /// Keeps the fault if it ranks below the one held; its message is the
+  /// concatenated `parts` and the offset.
+  void fault(const Rank& rank, bool json, std::size_t at,
+             std::initializer_list<std::string_view> parts) {
+    if (fault_ && !(rank < fault_->rank)) return;
+    std::string message;
+    for (const std::string_view part : parts) message += part;
+    message += " at offset " + std::to_string(at);
+    fault_ = Fault{rank, json, std::move(message)};
+  }
+
+  /// A member a config object uses may appear once in it.
+  void once(unsigned& seen, Member member, std::string_view key) {
+    if ((seen & member) != 0) in_.fail("repeated member \"" + std::string(key) + "\"");
+    seen |= member;
+  }
+
+  json::Type peek() {
+    const json::Type type = in_.peek();
+    value_at_ = in_.offset();
+    return type;
+  }
+
+  /// True when the next value has `type`. Otherwise the value is skipped
+  /// and a JsonError fault is kept at `rank`, as Value's typed accessors
+  /// (and `at` on a non-object) would throw.
+  bool expect(json::Type type, const Rank& rank, std::string_view what) {
+    if (peek() == type) return true;
+    fault(rank, true, value_at_, {what, ": expected ", json::to_string(type)});
+    in_.skip_value();
+    return false;
+  }
+
+  /// An integer value as Value::as_int reads it; a mistyped or
+  /// non-integer value is a JsonError fault at `rank`.
+  bool read_int(std::int64_t& out, const Rank& rank, std::string_view what) {
+    if (!expect(json::Type::kNumber, rank, what)) return false;
+    if (!in_.read_int(out)) {
+      fault(rank, true, value_at_, {what, ": not an integer"});
+      return false;
+    }
+    return true;
+  }
+
+  void read_bool(bool& out, const Rank& rank, std::string_view what) {
+    if (expect(json::Type::kBool, rank, what)) out = in_.read_bool();
+  }
+
+  MitigationPolicy read_mitigation() {
     MitigationPolicy policy;
-    if (const auto* mitigation = tenant_doc.find("mitigation")) {
-      policy = parse_mitigation(*mitigation);
+    // Like Value::find on a non-object: nothing found, defaults kept.
+    if (peek() != json::Type::kObject) {
+      in_.skip_value();
+      return policy;
     }
-    const TenantId id = config.add_tenant(tenant_doc.at("name").as_string(), policy);
-    for (const auto& entry : tenant_doc.at("prefixes").as_array()) {
-      config.add_owned(id, parse_owned_entry(entry));
+    unsigned seen = 0;
+    std::string_view key;
+    in_.begin_object();
+    while (in_.next_member(key)) {
+      if (key == "deaggregation_floor") {
+        once(seen, kFloorMember, key);
+        std::int64_t floor = 0;
+        if (!read_int(floor, mitigation_rank(0), key)) continue;
+        // Range-check the 64-bit value, then narrow.
+        if (floor < 1 || floor > 32) {
+          fault(mitigation_rank(0), false, value_at_, {key, ": out of range"});
+        } else {
+          policy.deaggregation_floor = static_cast<int>(floor);
+        }
+      } else if (key == "reannounce_exact") {
+        once(seen, kReannounceMember, key);
+        read_bool(policy.reannounce_exact, mitigation_rank(1), key);
+      } else if (key == "auto_mitigate") {
+        once(seen, kAutoMember, key);
+        read_bool(policy.auto_mitigate, mitigation_rank(2), key);
+      } else {
+        in_.skip_value();
+      }
+    }
+    return policy;
+  }
+
+  void read_tenants() {
+    if (!expect(json::Type::kArray, Rank{2}, "tenants")) return;
+    in_.begin_array();
+    for (tenant_ = 0; in_.next_element(); ++tenant_) read_tenant();
+  }
+
+  void read_tenant() {
+    // Registered before its members are read, so its entries carry its
+    // id whatever the member order; the name is checked at the end.
+    const auto id = static_cast<TenantId>(config_.tenants_.size());
+    config_.tenants_.push_back(TenantInfo{id, {}, {}});
+    if (!expect(json::Type::kObject, Rank{3, tenant_, 1}, "tenant")) return;
+    const std::size_t at = value_at_;
+    unsigned seen = 0;
+    bool named = false;
+    std::string_view key;
+    in_.begin_object();
+    while (in_.next_member(key)) {
+      if (key == "name") {
+        once(seen, kNameMember, key);
+        if (expect(json::Type::kString, Rank{3, tenant_, 1}, key)) {
+          config_.tenants_[id].name = in_.read_string();
+          named = true;
+        }
+      } else if (key == "mitigation") {
+        once(seen, kMitigationMember, key);
+        config_.tenants_[id].mitigation = read_mitigation();
+      } else if (key == "prefixes") {
+        once(seen, kPrefixesMember, key);
+        read_entries(id);
+      } else {
+        in_.skip_value();
+      }
+    }
+    const std::string& name = config_.tenants_[id].name;
+    if ((seen & kNameMember) == 0) {
+      fault(Rank{3, tenant_, 1}, true, at, {"missing key: name"});
+    } else if (named && name.empty()) {
+      fault(Rank{3, tenant_, 2}, false, at, {"tenant name must not be empty"});
+    } else if (named) {
+      for (TenantId other = 0; other < id; ++other) {
+        if (config_.tenants_[other].name == name) {
+          fault(Rank{3, tenant_, 2}, false, at, {"duplicate tenant name: ", name});
+          break;
+        }
+      }
+    }
+    if ((seen & kPrefixesMember) == 0) {
+      fault(Rank{3, tenant_, 3}, true, at, {"missing key: prefixes"});
     }
   }
-  return config;
-}
 
-Config Config::from_json_text(std::string_view text) {
-  return from_json(json::parse(text));
-}
+  void read_entries(TenantId tenant) {
+    if (!expect(json::Type::kArray, prefixes_rank(), "prefixes")) return;
+    in_.begin_array();
+    for (entry_ = 0; in_.next_element(); ++entry_) read_entry(tenant);
+  }
+
+  /// One {"prefix","origins","neighbors"} entry — shared by both schemas.
+  void read_entry(TenantId tenant) {
+    if (!expect(json::Type::kObject, entry_rank(kPrefixPart), "entry")) return;
+    const std::size_t at = value_at_;
+    if (!v2_) config_.ensure_default_tenant();
+    OwnedPrefix& owned = config_.owned_.emplace_back();
+    owned.tenant = tenant;
+    unsigned seen = 0;
+    std::string_view key;
+    in_.begin_object();
+    while (in_.next_member(key)) {
+      if (key == "prefix") {
+        once(seen, kPrefixMember, key);
+        read_prefix(owned.prefix);
+      } else if (key == "origins") {
+        once(seen, kOriginsMember, key);
+        read_asns(owned.legitimate_origins, kOriginsPart, key);
+      } else if (key == "neighbors") {
+        once(seen, kNeighborsMember, key);
+        read_asns(owned.legitimate_neighbors, kNeighborsPart, key);
+      } else {
+        in_.skip_value();
+      }
+    }
+    if ((seen & kPrefixMember) == 0) {
+      fault(entry_rank(kPrefixPart), true, at, {"missing key: prefix"});
+    }
+    if ((seen & kOriginsMember) == 0) {
+      fault(entry_rank(kOriginsPart), true, at, {"missing key: origins"});
+    } else if (owned.legitimate_origins.empty()) {
+      fault(entry_rank(kNoOriginPart), false, at,
+            {"owned prefix needs at least one legitimate origin"});
+    }
+  }
+
+  void read_prefix(net::Prefix& out) {
+    if (!expect(json::Type::kString, entry_rank(kPrefixPart), "prefix")) return;
+    const std::string_view text = in_.read_string();
+    if (const auto prefix = net::Prefix::parse(text)) {
+      out = *prefix;
+    } else {
+      fault(entry_rank(kPrefixPart), false, value_at_, {"bad prefix: ", text});
+    }
+  }
+
+  /// An "origins" / "neighbors" array; `part` is its EntryPart, its
+  /// elements rank at part + 1.
+  void read_asns(std::set<bgp::Asn>& out, EntryPart part, std::string_view what) {
+    if (!expect(json::Type::kArray, entry_rank(part), what)) return;
+    in_.begin_array();
+    for (std::uint64_t k = 0; in_.next_element(); ++k) {
+      std::int64_t asn = 0;
+      if (!read_int(asn, entry_rank(part + 1, k), what)) continue;
+      if (asn <= 0 || asn > 0xFFFFFFFFLL) {
+        fault(entry_rank(part + 1, k), false, value_at_, {what, ": bad ASN"});
+      } else {
+        out.insert(static_cast<bgp::Asn>(asn));
+      }
+    }
+  }
+
+  json::Reader in_;
+  Config config_;
+  std::optional<Fault> fault_;
+  std::size_t value_at_ = 0;  ///< offset of the value last peeked
+  bool v2_ = false;
+  std::uint64_t tenant_ = 0;  ///< index of the tenant being read (v2)
+  std::uint64_t entry_ = 0;   ///< index of the entry in its prefixes list
+};
+
+Config Config::from_json_text(std::string_view text) { return ConfigLoader(text).load(); }
 
 json::Value Config::to_json() const {
   const bool v1 = tenants_.size() <= 1 &&

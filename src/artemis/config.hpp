@@ -28,6 +28,8 @@
 
 namespace artemis::core {
 
+class ConfigLoader;
+
 class Config {
  public:
   Config() = default;
@@ -59,13 +61,22 @@ class Config {
   const MitigationPolicy& mitigation() const;
 
   /// Freezes the current state into an immutable snapshot (the trie is
-  /// built here). Cold path: reload cost, not per-batch cost.
-  std::shared_ptr<const OwnershipTable> build_table() const;
+  /// built here). Cold path: reload cost, not per-batch cost. The rvalue
+  /// form moves the entries into the table, so
+  /// `Config::from_json_text(text).build_table()` — the SIGHUP reload —
+  /// copies nothing; the const form copies the Config first.
+  std::shared_ptr<const OwnershipTable> build_table() const&;
+  std::shared_ptr<const OwnershipTable> build_table() &&;
 
-  /// Loads either schema (v2 when a "tenants" array is present, v1
-  /// otherwise). Throws json::JsonError / std::invalid_argument on
-  /// malformed input.
-  static Config from_json(const json::Value& doc);
+  /// Loads either schema (v2 when a "tenants" member is present, v1
+  /// otherwise) in one pass over the text, members in any order, without
+  /// building a json::Value. Throws json::JsonError (syntax, missing or
+  /// mistyped member, a member repeated in one object) or
+  /// std::invalid_argument (a value out of range); either message ends
+  /// in the byte offset it refers to. When a document has several
+  /// faults, the exception type is that of the first one in schema
+  /// order (version, mitigation, then tenants and entries in document
+  /// order), whatever their order in the text.
   static Config from_json_text(std::string_view text);
 
   /// Serializes: the v1 shape when the config holds only the implicit
@@ -74,6 +85,8 @@ class Config {
   json::Value to_json() const;
 
  private:
+  friend class ConfigLoader;  ///< from_json_text's one-pass reader
+
   /// Ensures tenant 0 exists for the v1-compat entry points.
   TenantId ensure_default_tenant();
 

@@ -33,7 +33,8 @@ std::string_view to_string(SourceState state) {
 FetchSource::FetchSource(std::string url, FetchPolicy policy, Rng rng)
     : url_(std::move(url)), policy_(policy), rng_(rng) {}
 
-FetchOutcome FetchSource::run(const HttpBodySink& sink, const SleepFn& sleep) {
+FetchOutcome FetchSource::run(const HttpBodySink& sink, const SleepFn& sleep,
+                              const HttpIdleFn& idle) {
   const std::optional<Url> url = parse_url(url_);
   if (!url) {
     state_ = SourceState::kFailed;
@@ -60,7 +61,7 @@ FetchOutcome FetchSource::run(const HttpBodySink& sink, const SleepFn& sleep) {
       stats_.resume_offset += data.size();
       sink(data);
     };
-    const HttpResult result = http_get(*url, options, wrapped);
+    const HttpResult result = http_get(*url, options, wrapped, idle);
     const std::uint64_t delivered_this_attempt = result.body_bytes;
     stats_.bytes_discarded += result.discarded_bytes;
     stats_.last_status = result.status;

@@ -80,9 +80,11 @@ class FetchSource {
   FetchSource& operator=(const FetchSource&) = delete;
 
   /// Runs attempts until the source is kDone or kFailed. `sink` receives
-  /// each entity byte exactly once, in order. Blocking (socket I/O +
-  /// sleeps); never throws on network faults.
-  FetchOutcome run(const HttpBodySink& sink, const SleepFn& sleep);
+  /// each entity byte exactly once, in order; `idle` (may be empty) runs
+  /// whenever an attempt's socket has nothing pending (see HttpIdleFn).
+  /// Blocking (socket I/O + sleeps); never throws on network faults.
+  FetchOutcome run(const HttpBodySink& sink, const SleepFn& sleep,
+                   const HttpIdleFn& idle = {});
 
   const std::string& url() const { return url_; }
   SourceState state() const { return state_; }

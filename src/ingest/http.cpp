@@ -134,8 +134,11 @@ bool send_all(int fd, std::string_view data, int timeout_ms, std::string& error)
 /// Read outcomes below the HTTP framing layer.
 enum class ReadStatus { kData, kEof, kStall, kError };
 
+/// `idle`, when set, runs each time the socket has nothing pending,
+/// before the wait.
 ReadStatus read_some(int fd, std::span<std::uint8_t> buf, int timeout_ms,
-                     std::size_t& got, std::string& error) {
+                     std::size_t& got, std::string& error,
+                     const HttpIdleFn* idle = nullptr) {
   for (;;) {
     const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
     if (n > 0) {
@@ -144,6 +147,7 @@ ReadStatus read_some(int fd, std::span<std::uint8_t> buf, int timeout_ms,
     }
     if (n == 0) return ReadStatus::kEof;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (idle != nullptr && *idle) (*idle)();
       if (!wait_fd(fd, POLLIN, timeout_ms)) {
         error = "recv: stalled";
         return ReadStatus::kStall;
@@ -259,6 +263,11 @@ class ChunkedBody {
             }
             break;
           }
+          if (size_line_.size() >= kMaxChunkSizeLine) {
+            error = "chunk-size line exceeds " + std::to_string(kMaxChunkSizeLine) +
+                    " bytes";
+            return false;
+          }
           size_line_.push_back(c);
           ++i;
           break;
@@ -363,7 +372,7 @@ FetchOutcome classify_status(int status) {
 }
 
 HttpResult http_get(const Url& url, const HttpGetOptions& options,
-                    const HttpBodySink& body) {
+                    const HttpBodySink& body, const HttpIdleFn& idle) {
   HttpResult result;
   if (url.scheme != "http") {
     result.outcome = FetchOutcome::kPermanent;
@@ -500,7 +509,7 @@ HttpResult http_get(const Url& url, const HttpGetOptions& options,
     }
     std::size_t got = 0;
     const ReadStatus rs =
-        read_some(sock.fd(), buf, options.io_timeout_ms, got, result.error);
+        read_some(sock.fd(), buf, options.io_timeout_ms, got, result.error, &idle);
     if (rs == ReadStatus::kEof) {
       if (parsed.chunked && !chunked.done()) {
         result.error = "connection closed mid-chunked-body";

@@ -10,7 +10,9 @@
 // chunked transfer framing, `Connection: close` (one request per
 // connection; archive fetches are long transfers, not RPC chatter) — and
 // classifies every outcome instead of throwing: network faults are the
-// supervisor's steady state, not exceptional.
+// supervisor's steady state, not exceptional. A chunk-size line longer
+// than kMaxChunkSizeLine bytes fails the attempt (kTransient), so a peer
+// cannot grow ingest memory by never ending one.
 //
 // TLS is intentionally out: https:// URLs classify as permanent errors
 // with a pointer at using an http:// mirror (see README "Running as a
@@ -48,6 +50,10 @@ enum class FetchOutcome : std::uint8_t {
 
 std::string_view to_string(FetchOutcome outcome);
 
+/// Longest chunk-size line (hex size plus extensions) a chunked body may
+/// send before its line feed.
+inline constexpr std::size_t kMaxChunkSizeLine = 1024;
+
 struct HttpResult {
   FetchOutcome outcome = FetchOutcome::kTransient;
   int status = 0;            ///< HTTP status, 0 when none was received
@@ -77,11 +83,17 @@ struct HttpGetOptions {
 /// received byte; HttpResult::body_bytes totals exactly what was passed.
 using HttpBodySink = std::function<void(std::span<const std::uint8_t>)>;
 
+/// Called when the socket has no body bytes pending, just before the
+/// body reader blocks in poll(): everything received so far has reached
+/// the sink. Live ingest uses it to emit a partial batch instead of
+/// waiting for a full one.
+using HttpIdleFn = std::function<void()>;
+
 /// One blocking GET. Never throws on network/protocol faults — every
 /// outcome is classified in the result (exceptions escape only for
-/// programming errors, e.g. a null sink).
+/// programming errors, e.g. a null sink). `idle` may be empty.
 HttpResult http_get(const Url& url, const HttpGetOptions& options,
-                    const HttpBodySink& body);
+                    const HttpBodySink& body, const HttpIdleFn& idle = {});
 
 /// Classifies a status code the way http_get does (exposed for tests and
 /// for the supervisor's stats rendering).

@@ -104,6 +104,16 @@ class IngestPipeline {
   /// call with any chunking, including one byte at a time.
   void feed(std::span<const std::uint8_t> chunk);
 
+  /// The transport has nothing pending: sends the converter's partial
+  /// batch through the normal append -> detection_tap path now rather
+  /// than when it reaches batch_capacity. The HTTP body reader calls it
+  /// just before it blocks in poll(), so a quiet live feed alerts within
+  /// one socket read; a file or a saturated socket never goes idle, so
+  /// their batches stay at the cap. Batches still end on record
+  /// boundaries and the resume skip counts observations, so the journal
+  /// records and crash-resume are unaffected. Allocation-free.
+  void idle() { converter_.flush(batch_sink_); }
+
   /// Ends the source stream: drains the decompressor and the converter's
   /// carried tail, flushes the final partial batch, and returns the
   /// source's ledger. A mid-member transport tear surfaces here as

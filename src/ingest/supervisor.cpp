@@ -162,9 +162,11 @@ IngestReport IngestSupervisor::run() {
 
     FetchSource source(url, options_.fetch, seed_rng.fork(url));
     pipeline_.begin_source(skip);
+    // Idle socket = flush the partial batch: a quiet live feed reaches
+    // the journal and the detection tap within one read.
     const FetchOutcome outcome = source.run(
         [this](std::span<const std::uint8_t> data) { pipeline_.feed(data); },
-        options_.sleep);
+        options_.sleep, [this] { pipeline_.idle(); });
 
     SourceReport sr;
     sr.url = url;

@@ -1,11 +1,11 @@
 #include "json/json.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "json/reader.hpp"
 
 namespace artemis::json {
 
@@ -42,6 +42,8 @@ double Value::as_number() const {
 
 std::int64_t Value::as_int() const {
   const double n = as_number();
+  // Range first: converting a double outside int64 is undefined behaviour.
+  if (!(n >= -0x1p63 && n < 0x1p63)) throw JsonError("number out of integer range");
   const auto i = static_cast<std::int64_t>(n);
   if (static_cast<double>(i) != n) throw JsonError("number is not an integer");
   return i;
@@ -144,7 +146,7 @@ void escape_into(std::string& out, const std::string& s) {
 }
 
 void number_into(std::string& out, double n) {
-  if (n == static_cast<double>(static_cast<std::int64_t>(n)) && std::fabs(n) < 1e15) {
+  if (std::fabs(n) < 1e15 && n == static_cast<double>(static_cast<std::int64_t>(n))) {
     out += std::to_string(static_cast<std::int64_t>(n));
     return;
   }
@@ -212,217 +214,42 @@ std::string Value::dump(int indent) const {
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse_document() {
-    skip_ws();
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw JsonError(why + " at offset " + std::to_string(pos_));
-  }
-
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char advance() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
+/// Builds the value the reader is at. Recursion is bounded by the
+/// reader's nesting guard.
+Value read_value(Reader& in) {
+  switch (in.peek()) {
+    case Type::kObject: {
+      Object object;
+      std::string_view key;
+      in.begin_object();
+      while (in.next_member(key)) {
+        std::string name(key);  // the view dies at the next string read
+        object[std::move(name)] = read_value(in);
       }
+      return Value(std::move(object));
     }
+    case Type::kArray: {
+      Array array;
+      in.begin_array();
+      while (in.next_element()) array.push_back(read_value(in));
+      return Value(std::move(array));
+    }
+    case Type::kString: return Value(std::string(in.read_string()));
+    case Type::kNumber: return Value(in.read_number());
+    case Type::kBool: return Value(in.read_bool());
+    case Type::kNull: in.skip_value(); return Value(nullptr);
   }
-
-  Value parse_value() {
-    // Depth guard against pathological nesting blowing the stack.
-    if (depth_ > 256) fail("nesting too deep");
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Value(parse_string());
-      case 't': return parse_literal("true", Value(true));
-      case 'f': return parse_literal("false", Value(false));
-      case 'n': return parse_literal("null", Value(nullptr));
-      default: return parse_number();
-    }
-  }
-
-  Value parse_literal(std::string_view lit, Value v) {
-    if (text_.substr(pos_, lit.size()) != lit) fail("invalid literal");
-    pos_ += lit.size();
-    return v;
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {
-    }
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("invalid number");
-    // RFC 8259: the integer part is either "0" or starts with 1-9.
-    const bool leading_zero = peek() == '0';
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (leading_zero && pos_ - start > (text_[start] == '-' ? 2u : 1u)) {
-      fail("leading zeros not allowed");
-    }
-    if (consume('.')) {
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("digits required after decimal point");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("digits required in exponent");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    double out = 0.0;
-    const auto* first = text_.data() + start;
-    const auto* last = text_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(first, last, out);
-    if (ec != std::errc() || ptr != last) fail("invalid number");
-    return Value(out);
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = advance();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("unescaped control character");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = advance();
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = advance();
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("invalid \\u escape");
-            }
-          }
-          // Encode as UTF-8 (BMP only; surrogate pairs are rejected).
-          if (code >= 0xD800 && code <= 0xDFFF) fail("surrogate pairs unsupported");
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("invalid escape");
-      }
-    }
-  }
-
-  Value parse_array() {
-    expect('[');
-    ++depth_;
-    Array arr;
-    skip_ws();
-    if (consume(']')) {
-      --depth_;
-      return Value(std::move(arr));
-    }
-    for (;;) {
-      skip_ws();
-      arr.push_back(parse_value());
-      skip_ws();
-      if (consume(']')) break;
-      expect(',');
-    }
-    --depth_;
-    return Value(std::move(arr));
-  }
-
-  Value parse_object() {
-    expect('{');
-    ++depth_;
-    Object obj;
-    skip_ws();
-    if (consume('}')) {
-      --depth_;
-      return Value(std::move(obj));
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      obj[std::move(key)] = parse_value();
-      skip_ws();
-      if (consume('}')) break;
-      expect(',');
-    }
-    --depth_;
-    return Value(std::move(obj));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+  return Value();
+}
 
 }  // namespace
 
-Value parse(std::string_view text) { return Parser(text).parse_document(); }
+Value parse(std::string_view text) {
+  Reader in(text);
+  Value value = read_value(in);
+  in.finish();
+  return value;
+}
 
 Value parse_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -1,10 +1,11 @@
 // Minimal JSON value model, parser and serializer.
 //
-// ARTEMIS configuration files (owned prefixes, legitimate origins, monitor
-// selection, mitigation policy) are JSON; this module is the only parser
-// the library depends on. It supports the full JSON grammar except for
-// \uXXXX surrogate pairs outside the BMP (sufficient for config files,
-// which are ASCII in practice).
+// Scenario files, ingest cursors, ROA tables and reports are JSON;
+// parse() builds a Value tree for them. The grammar lives in one place,
+// json::Reader (reader.hpp): the full JSON grammar except for \uXXXX
+// surrogate pairs outside the BMP (sufficient for config files, which
+// are ASCII in practice). The ownership config, which reaches tens of
+// megabytes, drives the Reader directly and builds no Value tree.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,7 @@ class Value {
   /// Checked accessors; throw JsonError on type mismatch.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;  ///< also rejects non-integral numbers
+  std::int64_t as_int() const;  ///< also rejects non-integral and out-of-int64 numbers
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

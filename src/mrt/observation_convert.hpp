@@ -59,9 +59,11 @@ struct ObservationConvertOptions {
   /// delivered_at = event_time + delivery_lag. Archive imports default to
   /// zero lag: the journal then replays at recorded event pacing.
   SimDuration delivery_lag = SimDuration::seconds(0);
-  /// Emit threshold: batches flush to the sink once they reach this many
+  /// Batch cap: batches flush to the sink once they reach this many
   /// observations (always at a record boundary, so the last batch of a
-  /// file may be short and a huge record may overshoot).
+  /// file may be short and a huge record may overshoot). A live source
+  /// also flushes whenever its input goes idle (flush()), so this bounds
+  /// a batch without ever holding one back.
   std::size_t batch_capacity = 4096;
 };
 
@@ -108,6 +110,12 @@ class ObservationConverter {
             const feeds::ObservationBatchHandler& sink);
   ConvertFileStats finish_file(const feeds::ObservationBatchHandler& sink);
 
+  /// Hands the pending partial batch (complete records only) to `sink`
+  /// now instead of at batch_capacity; a no-op when nothing is pending.
+  /// A live source calls it when its input goes idle, so a quiet feed's
+  /// observations reach detection within one read.
+  void flush(const feeds::ObservationBatchHandler& sink);
+
   std::uint64_t observations_emitted() const { return emitted_; }
   std::size_t source_table_size() const { return sources_.size(); }
   /// Current value of the monotone import clock (microseconds).
@@ -130,7 +138,6 @@ class ObservationConverter {
   /// Appends one observation slot with the shared per-record fields set.
   feeds::Observation& slot(feeds::ObservationType type, bgp::Asn peer,
                            std::int64_t event_us);
-  void flush(const feeds::ObservationBatchHandler& sink);
 
   /// Converts one complete record (`total` bytes starting at the common
   /// header). Returns false when a hard decode error stopped the file.

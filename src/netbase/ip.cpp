@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "util/strings.hpp"
-
 namespace artemis::net {
 
 IpAddress IpAddress::v4(std::uint32_t host_order) {
@@ -42,19 +40,32 @@ std::uint32_t IpAddress::v4_value() const {
 
 namespace {
 
+// The parsers below run once per prefix of a config load (a 1M-prefix
+// reload parses a million), so they split in place and allocate nothing.
+
 std::optional<IpAddress> parse_v4(std::string_view text) {
-  const auto parts = split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
+  // One pass: exactly four dot-separated decimal octets.
   std::uint32_t value = 0;
-  for (const auto part : parts) {
-    if (part.empty() || part.size() > 3) return std::nullopt;
-    const auto octet = parse_u32(part, 255);
-    if (!octet) return std::nullopt;
-    // Reject leading zeros ("01") to keep representations canonical.
-    if (part.size() > 1 && part[0] == '0') return std::nullopt;
-    value = (value << 8) | *octet;
+  std::uint32_t octet = 0;
+  int digits = 0;  // in the current octet
+  int dots = 0;
+  for (const char c : text) {
+    if (c >= '0' && c <= '9') {
+      // Reject leading zeros ("01") to keep representations canonical.
+      if (digits == 1 && octet == 0) return std::nullopt;
+      octet = octet * 10 + static_cast<std::uint32_t>(c - '0');
+      if (++digits > 3 || octet > 255) return std::nullopt;
+    } else if (c == '.' && digits > 0 && dots < 3) {
+      value = (value << 8) | octet;
+      octet = 0;
+      digits = 0;
+      ++dots;
+    } else {
+      return std::nullopt;
+    }
   }
-  return IpAddress::v4(value);
+  if (digits == 0 || dots != 3) return std::nullopt;
+  return IpAddress::v4((value << 8) | octet);
 }
 
 std::optional<std::uint16_t> parse_hex16(std::string_view s) {
@@ -75,39 +86,50 @@ std::optional<std::uint16_t> parse_hex16(std::string_view s) {
   return static_cast<std::uint16_t>(value);
 }
 
+/// Parses the ':'-separated hex groups of `text` (empty text: none) into
+/// `out`; false on a malformed group or more than eight.
+bool parse_groups(std::string_view text, std::array<std::uint16_t, 8>& out,
+                  std::size_t& count) {
+  count = 0;
+  if (text.empty()) return true;
+  for (;;) {
+    const std::size_t colon = text.find(':');
+    const auto group = parse_hex16(text.substr(0, colon));
+    if (!group || count == out.size()) return false;
+    out[count++] = *group;
+    if (colon == std::string_view::npos) return true;
+    text.remove_prefix(colon + 1);
+  }
+}
+
 std::optional<IpAddress> parse_v6(std::string_view text) {
   // Split around at most one "::".
-  std::vector<std::uint16_t> head;
-  std::vector<std::uint16_t> tail;
   const std::size_t gap = text.find("::");
   std::string_view head_text = text;
   std::string_view tail_text;
-  bool has_gap = false;
-  if (gap != std::string_view::npos) {
-    has_gap = true;
+  const bool has_gap = gap != std::string_view::npos;
+  if (has_gap) {
     head_text = text.substr(0, gap);
     tail_text = text.substr(gap + 2);
     if (tail_text.find("::") != std::string_view::npos) return std::nullopt;
   }
-  const auto parse_groups = [](std::string_view t, std::vector<std::uint16_t>& out) {
-    if (t.empty()) return true;
-    for (const auto g : split(t, ':')) {
-      const auto h = parse_hex16(g);
-      if (!h) return false;
-      out.push_back(*h);
-    }
-    return true;
-  };
-  if (!parse_groups(head_text, head) || !parse_groups(tail_text, tail)) return std::nullopt;
-  const std::size_t total = head.size() + tail.size();
+  std::array<std::uint16_t, 8> head{};
+  std::array<std::uint16_t, 8> tail{};
+  std::size_t head_count = 0;
+  std::size_t tail_count = 0;
+  if (!parse_groups(head_text, head, head_count) ||
+      !parse_groups(tail_text, tail, tail_count)) {
+    return std::nullopt;
+  }
+  const std::size_t total = head_count + tail_count;
   if (has_gap) {
     if (total >= 8) return std::nullopt;  // "::" must compress >= 1 group
   } else if (total != 8) {
     return std::nullopt;
   }
   std::array<std::uint16_t, 8> groups{};
-  for (std::size_t i = 0; i < head.size(); ++i) groups[i] = head[i];
-  for (std::size_t i = 0; i < tail.size(); ++i) groups[8 - tail.size() + i] = tail[i];
+  for (std::size_t i = 0; i < head_count; ++i) groups[i] = head[i];
+  for (std::size_t i = 0; i < tail_count; ++i) groups[8 - tail_count + i] = tail[i];
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
   for (int i = 0; i < 4; ++i) hi = (hi << 16) | groups[static_cast<std::size_t>(i)];

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "artemis/config.hpp"
 
 namespace artemis::core {
@@ -59,11 +61,69 @@ TEST(ConfigTest, RejectsBadDocuments) {
       Config::from_json_text(
           R"({"prefixes":[{"prefix":"10.0.0.0/8","origins":[1],"neighbors":[-5]}]})"),
       std::invalid_argument);
+  // 2^32 + 24: range-checked as 64 bits, not narrowed to 24 first.
+  EXPECT_THROW(
+      Config::from_json_text(
+          R"({"prefixes":[{"prefix":"10.0.0.0/8","origins":[1]}],
+              "mitigation":{"deaggregation_floor":4294967320}})"),
+      std::invalid_argument);
+  // Beyond int64: a JsonError, as Value::as_int, never a wrapped value.
+  EXPECT_THROW(
+      Config::from_json_text(R"({"prefixes":[{"prefix":"10.0.0.0/8","origins":[1e19]}]})"),
+      json::JsonError);
+}
+
+TEST(ConfigTest, ErrorsNameAByteOffset) {
+  const std::string text = R"({"prefixes":[{"prefix":"10.0.0.0/33","origins":[1]}]})";
+  try {
+    Config::from_json_text(text);
+    FAIL() << "accepted a /33";
+  } catch (const std::invalid_argument& e) {
+    // The offset of the bad value's opening quote.
+    const std::string want = "at offset " + std::to_string(text.find("\"10.0.0.0/33"));
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+  try {
+    Config::from_json_text(R"({"prefixes":[}])");
+    FAIL() << "accepted a syntax error";
+  } catch (const json::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at offset 13"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ConfigTest, MembersLoadInAnyOrder) {
+  // The serializer writes keys sorted ("origins" before "prefix",
+  // "mitigation" before "prefixes"); hand-written files use any order.
+  const auto a = Config::from_json_text(R"({"mitigation":{"auto_mitigate":false},
+      "prefixes":[{"neighbors":[174],"origins":[65001],"prefix":"10.0.0.0/23"}]})");
+  const auto b = Config::from_json_text(
+      R"({"prefixes":[{"prefix":"10.0.0.0/23","origins":[65001],"neighbors":[174]}],
+          "mitigation":{"auto_mitigate":false}})");
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+  EXPECT_FALSE(a.mitigation().auto_mitigate);
+  const auto v2 = Config::from_json_text(R"({
+      "tenants":[{"prefixes":[{"origins":[1],"prefix":"10.0.0.0/8"}],"name":"x"}],
+      "schema_version":2})");
+  ASSERT_EQ(v2.tenants().size(), 1u);
+  EXPECT_EQ(v2.tenants()[0].name, "x");
+  EXPECT_EQ(v2.owned().size(), 1u);
+}
+
+TEST(ConfigTest, RepeatedMemberIsRejected) {
+  // A DOM would keep the last copy silently; the one-pass loader names it.
+  EXPECT_THROW(Config::from_json_text(
+                   R"({"prefixes":[],"prefixes":[{"prefix":"10.0.0.0/8","origins":[1]}]})"),
+               json::JsonError);
+  EXPECT_THROW(Config::from_json_text(
+                   R"({"prefixes":[{"prefix":"10.0.0.0/8","origins":[1],"origins":[2]}]})"),
+               json::JsonError);
+  // Members the loader ignores may repeat.
+  EXPECT_NO_THROW(Config::from_json_text(R"({"note":1,"note":2,"prefixes":[]})"));
 }
 
 TEST(ConfigTest, ToJsonRoundTrip) {
   const auto config = Config::from_json_text(kSampleConfig);
-  const auto round = Config::from_json(config.to_json());
+  const auto round = Config::from_json_text(config.to_json().dump());
   ASSERT_EQ(round.owned().size(), 2u);
   EXPECT_EQ(round.owned()[0].prefix, config.owned()[0].prefix);
   EXPECT_EQ(round.owned()[0].legitimate_origins, config.owned()[0].legitimate_origins);

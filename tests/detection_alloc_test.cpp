@@ -347,7 +347,9 @@ TEST(DetectionAllocTest, SteadyStateIngestFeedIsAllocationFree) {
   // carry/batch, writer encode buffer, interned sources, the cached
   // identity decompressor); after that, whole begin/feed/finish cycles
   // run without a single heap allocation — the service can ingest
-  // archives forever without touching the allocator.
+  // archives forever without touching the allocator. Every read is
+  // followed by idle(), as on a socket that has drained: the partial-
+  // batch flush a quiet live feed takes is inside the same contract.
   std::vector<std::uint8_t> window;
   for (int i = 0; i < 8; ++i) {
     mrt::UpdateRecord rec;
@@ -373,9 +375,11 @@ TEST(DetectionAllocTest, SteadyStateIngestFeedIsAllocationFree) {
     std::size_t i = 0;
     for (const std::size_t step : {std::size_t{3}, std::size_t{41}}) {
       pipeline.feed({window.data() + i, step});
+      pipeline.idle();
       i += step;
     }
     pipeline.feed({window.data() + i, window.size() - i});
+    pipeline.idle();
     return pipeline.finish_source();
   };
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -203,6 +204,27 @@ void FaultServer::handle_connection(int fd) {
   if (fault.kind == Fault::Kind::kWrongContentLength) {
     advertised = std::max<std::int64_t>(0, advertised + fault.length_delta);
   }
+  // Chunked kinds send `wire` (the framed body) instead of the entity.
+  const bool chunked = fault.kind == Fault::Kind::kChunked ||
+                       fault.kind == Fault::Kind::kChunkSizeFlood;
+  std::string wire;
+  if (fault.kind == Fault::Kind::kChunked) {
+    const std::uint64_t step =
+        fault.bytes > 0 ? fault.bytes : std::max<std::uint64_t>(body_size, 1);
+    for (std::uint64_t at = 0; at < body_size; at += step) {
+      const std::uint64_t n = std::min(step, body_size - at);
+      char line[48];
+      // Every other size line carries an extension the client must skip.
+      std::snprintf(line, sizeof(line), "%llx%s\r\n", static_cast<unsigned long long>(n),
+                    (at / step) % 2 == 1 ? ";ext=1" : "");
+      wire += line;
+      wire.append(reinterpret_cast<const char*>(content.data() + body_start + at), n);
+      wire += "\r\n";
+    }
+    wire += "0\r\nX-Trailer: 1\r\n\r\n";
+  } else if (fault.kind == Fault::Kind::kChunkSizeFlood) {
+    wire = "1;" + std::string(fault.bytes, 'a');
+  }
   std::string head;
   if (honor_range) {
     head = "HTTP/1.1 206 Partial Content\r\nContent-Range: bytes " +
@@ -211,8 +233,9 @@ void FaultServer::handle_connection(int fd) {
   } else {
     head = "HTTP/1.1 200 OK\r\n";
   }
-  head += "Content-Length: " + std::to_string(advertised) +
-          "\r\nConnection: close\r\n\r\n";
+  head += chunked ? std::string("Transfer-Encoding: chunked")
+                  : "Content-Length: " + std::to_string(advertised);
+  head += "\r\nConnection: close\r\n\r\n";
   if (!send_str(fd, head)) {
     ::close(fd);
     return;
@@ -231,11 +254,16 @@ void FaultServer::handle_connection(int fd) {
     // archive-at-the-mirror case.
     limit = static_cast<std::uint64_t>(advertised);
   }
+  const std::uint8_t* payload = content.data() + body_start;
+  if (chunked) {
+    payload = reinterpret_cast<const std::uint8_t*>(wire.data());
+    limit = wire.size();
+  }
   std::uint64_t sent = 0;
   while (sent < limit) {
     std::size_t step = static_cast<std::size_t>(limit - sent);
     if (dribble_bytes > 0) step = std::min(step, dribble_bytes);
-    if (!send_all(fd, content.data() + body_start + sent, step)) break;
+    if (!send_all(fd, payload + sent, step)) break;
     sent += step;
     if (dribble_bytes > 0 && sent < limit) msleep(dribble_delay_ms);
   }

@@ -5,7 +5,8 @@
 // push a schedule of faults and each incoming request consumes the next
 // one — a 503, a connection cut (FIN or RST) after N body bytes, a stall
 // longer than the client's read timeout, a lying Content-Length, a
-// server that ignores Range and restarts from byte 0. With an empty
+// server that ignores Range and restarts from byte 0, a chunked body
+// (well-formed, or with a chunk-size line that never ends). With an empty
 // schedule it is a correct little static file server (Range/206/416
 // included), which is what the kill-loop test uses, paced by a dribble
 // knob so SIGKILLs land mid-transfer instead of between requests.
@@ -34,6 +35,10 @@ struct Fault {
     kStallThenClose,     ///< `bytes` body bytes, sleep `stall_ms`, then FIN
     kWrongContentLength, ///< advertise body + `length_delta`, send the truth
     kIgnoreRange,        ///< 200 from entity byte 0 despite a Range header
+    kChunked,            ///< Transfer-Encoding: chunked, `bytes` per chunk
+                         ///< (0: one chunk), extensions and a trailer
+    kChunkSizeFlood,     ///< chunked head, then a chunk-size line of
+                         ///< `bytes` bytes that never ends, then FIN
   };
   Kind kind = Kind::kNone;
   int status = 503;

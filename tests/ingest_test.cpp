@@ -20,8 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -263,6 +266,40 @@ TEST_F(FetchSourceTest, StallClassifiesTransientAndRecovers) {
   EXPECT_EQ(fetch(server, "/w.mrt", delivered), FetchOutcome::kOk);
   EXPECT_EQ(delivered, content);
   EXPECT_NE(source_->stats().retries, 0u);
+}
+
+TEST_F(FetchSourceTest, ChunkedBodyDeliversExactBytesAcrossSplitReads) {
+  FaultServer server;
+  const auto content = fixture_window(3);
+  server.add_file("/w.mrt", content);
+  // 100-byte chunks sent 7 bytes at a time: size lines, extensions,
+  // payloads and CRLFs all straddle socket reads.
+  server.push_fault({.kind = Fault::Kind::kChunked, .bytes = 100});
+  server.set_dribble(7, 1);
+  std::vector<std::uint8_t> delivered;
+  EXPECT_EQ(fetch(server, "/w.mrt", delivered), FetchOutcome::kOk);
+  EXPECT_EQ(delivered, content);
+  EXPECT_EQ(source_->stats().attempts, 1u);
+  EXPECT_EQ(source_->stats().bytes_fetched, content.size());
+}
+
+TEST(IngestHttpTest, OverlongChunkSizeLineFailsTheAttempt) {
+  // A peer that never ends a chunk-size line must not grow ingest memory:
+  // the attempt fails, transient, once the line passes the cap.
+  FaultServer server;
+  server.add_file("/w.mrt", fixture_window());
+  server.push_fault({.kind = Fault::Kind::kChunkSizeFlood, .bytes = 256u << 10});
+  const auto url = parse_url(server.url_for("/w.mrt"));
+  ASSERT_TRUE(url.has_value());
+  HttpGetOptions options;
+  options.io_timeout_ms = 2000;
+  std::uint64_t delivered = 0;
+  const HttpResult result = http_get(
+      *url, options, [&](std::span<const std::uint8_t> data) { delivered += data.size(); });
+  EXPECT_EQ(result.outcome, FetchOutcome::kTransient);
+  EXPECT_EQ(result.error, "chunk-size line exceeds " + std::to_string(kMaxChunkSizeLine) +
+                              " bytes");
+  EXPECT_EQ(delivered, 0u);
 }
 
 TEST_F(FetchSourceTest, WrongContentLengthReadsAsShortBodyAndResumes) {
@@ -507,6 +544,51 @@ TEST(IngestSupervisorTest, FaultyRunJournalByteIdenticalToCleanRun) {
 
   EXPECT_EQ(journal_bytes(faulty_dir), journal_bytes(clean_dir));
   EXPECT_EQ(replay_alert_lines(faulty_dir, 4), replay_alert_lines(clean_dir, 1));
+}
+
+TEST(IngestSupervisorTest, IdleSocketFlushesPartialBatchBeforeStallEnds) {
+  // A quiet live feed: the mirror sends one hijack record, then nothing
+  // for 1.5 s (under the read timeout), then closes mid-body. The batch
+  // is nowhere near batch_capacity, so only the idle flush can raise the
+  // alert while the connection is still stalled.
+  const auto window = fixture_window();
+  const auto first = mrt::encode_update_record(
+      ingest_test::make_update(9, 100, {"10.0.0.0/23"}, {9, 3356, 666}));
+  ASSERT_TRUE(std::equal(first.begin(), first.end(), window.begin()));
+  FaultServer server;
+  server.add_file("/live", window);
+  server.push_fault(
+      {.kind = Fault::Kind::kStallThenClose, .bytes = first.size(), .stall_ms = 1500});
+
+  using Clock = std::chrono::steady_clock;
+  std::optional<Clock::time_point> first_alert;
+  std::optional<Clock::time_point> stall_over;
+  pipeline::ShardedDetector detector(ingest_test::make_config(), {});
+  detector.on_alert([&](const core::HijackAlert&) {
+    if (!first_alert) first_alert = Clock::now();
+  });
+  SupervisorOptions options;
+  options.fetch.io_timeout_ms = 4000;
+  options.fetch.backoff_ms = 1;
+  options.fetch.max_backoff_ms = 2;
+  // The stalled attempt ends when the server closes; the backoff before
+  // the resuming retry is the run's first sleep.
+  options.sleep = [&](std::int64_t) {
+    if (!stall_over) stall_over = Clock::now();
+  };
+  options.pipeline.detection_tap = [&](std::span<const feeds::Observation> batch) {
+    detector.submit_batch(batch);
+  };
+  const std::string dir = fresh_dir("sup_idle");
+  const auto report = run_supervisor(dir, {server.url_for("/live")}, std::move(options));
+  ASSERT_EQ(report.sources_done, 1u);
+  ASSERT_TRUE(first_alert.has_value());
+  ASSERT_TRUE(stall_over.has_value());
+  EXPECT_LT(*first_alert, *stall_over) << "the alert waited for the stall to end";
+  // Small batches, same stream: the live alerts are the journal's.
+  std::vector<std::string> live;
+  for (const auto& alert : detector.merged_alerts()) live.push_back(alert.to_string());
+  EXPECT_EQ(live, replay_alert_lines(dir, 1));
 }
 
 TEST(IngestSupervisorTest, PermanentFailureSkipsToNextUrl) {

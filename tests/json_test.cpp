@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "json/json.hpp"
+#include "json/reader.hpp"
 
 namespace artemis::json {
 namespace {
@@ -67,6 +71,8 @@ TEST(JsonParseTest, RejectsMalformed) {
   EXPECT_THROW(parse("1."), JsonError);
   EXPECT_THROW(parse("1e"), JsonError);
   EXPECT_THROW(parse("[1 2]"), JsonError);
+  EXPECT_THROW(parse("1e999"), JsonError);  // outside double
+  EXPECT_THROW(parse("{1:2}"), JsonError);
 }
 
 TEST(JsonParseTest, RejectsControlCharInString) {
@@ -98,6 +104,18 @@ TEST(JsonAccessTest, TypeMismatchThrows) {
 TEST(JsonAccessTest, AsIntRejectsFractions) {
   EXPECT_THROW(parse("1.5").as_int(), JsonError);
   EXPECT_EQ(parse("2.0").as_int(), 2);
+}
+
+TEST(JsonAccessTest, AsIntRejectsOutOfRangeWithoutOverflow) {
+  // Converting a double outside int64 is undefined behaviour; as_int must
+  // check the range first (a -fsanitize=float-cast-overflow build aborts
+  // here otherwise).
+  EXPECT_THROW(parse("1e19").as_int(), JsonError);
+  EXPECT_THROW(parse("-1e19").as_int(), JsonError);
+  EXPECT_THROW(parse("9223372036854775808").as_int(), JsonError);  // 2^63
+  EXPECT_EQ(parse("-9223372036854775808").as_int(),                 // -2^63
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse("1e19").dump(), "1e+19");  // dump checks the range first too
 }
 
 TEST(JsonAccessTest, TypedGettersWithDefaults) {
@@ -166,6 +184,80 @@ TEST(JsonFileTest, ParseFileRoundTrip) {
 
 TEST(JsonFileTest, MissingFileThrows) {
   EXPECT_THROW(parse_file("/nonexistent/path/x.json"), JsonError);
+}
+
+// ------------------------------------------------------------ Reader
+
+TEST(JsonReaderTest, WalksDocumentsMemberByMember) {
+  Reader in(R"( {"a": [1, "x", {}], "b": {"c": true, "d": null}, "e": -0.5e-3} )");
+  std::string_view key;
+  in.begin_object();
+  ASSERT_TRUE(in.next_member(key));
+  EXPECT_EQ(key, "a");
+  in.begin_array();
+  ASSERT_TRUE(in.next_element());
+  std::int64_t one = 0;
+  EXPECT_TRUE(in.read_int(one));
+  EXPECT_EQ(one, 1);
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.peek(), Type::kString);
+  EXPECT_EQ(in.read_string(), "x");
+  ASSERT_TRUE(in.next_element());
+  in.skip_value();
+  EXPECT_FALSE(in.next_element());
+  ASSERT_TRUE(in.next_member(key));
+  EXPECT_EQ(key, "b");
+  in.skip_value();
+  ASSERT_TRUE(in.next_member(key));
+  EXPECT_EQ(key, "e");
+  EXPECT_DOUBLE_EQ(in.read_number(), -0.5e-3);
+  EXPECT_FALSE(in.next_member(key));
+  in.finish();
+}
+
+TEST(JsonReaderTest, ErrorsNameTheOffset) {
+  try {
+    parse("[1, 2, x]");
+    FAIL();
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at offset 7"), std::string::npos) << e.what();
+  }
+}
+
+TEST(JsonReaderTest, ReadIntMatchesAsInt) {
+  for (const std::string_view text :
+       {"0", "-0", "7", "-7", "65001", "4294967295", "123456789012345", "1234567890123456",
+        "9007199254740993", "2.0", "1e2", "6.5001e4", "-9223372036854775808",
+        "9223372036854775807", "1.5", "1e19", "-1e19", "9223372036854775808", "1e-3"}) {
+    Reader in(text);
+    std::int64_t got = 0;
+    const bool ok = in.read_int(got);
+    in.finish();
+    std::int64_t want = 0;
+    bool want_ok = true;
+    try {
+      want = parse(text).as_int();
+    } catch (const JsonError&) {
+      want_ok = false;
+    }
+    EXPECT_EQ(ok, want_ok) << text;
+    if (ok && want_ok) {
+      EXPECT_EQ(got, want) << text;
+    }
+  }
+}
+
+TEST(JsonReaderTest, EscapedStringsReuseOneBuffer) {
+  Reader in(R"(["pl\u0061in", "esc\taped", "again\n"])");
+  in.begin_array();
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.read_string(), "plain");
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.read_string(), "esc\taped");
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.read_string(), "again\n");
+  EXPECT_FALSE(in.next_element());
+  in.finish();
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST(ConfigV2Test, RejectsSchemaMismatches) {
 
 TEST(ConfigV2Test, RoundTripsThroughJson) {
   const Config config = two_tenant_config();
-  const auto round = Config::from_json(config.to_json());
+  const auto round = Config::from_json_text(config.to_json().dump());
   ASSERT_EQ(round.tenants().size(), 2u);
   EXPECT_EQ(round.tenants()[1].name, "globex");
   ASSERT_EQ(round.owned().size(), config.owned().size());

@@ -28,7 +28,9 @@
 //                       shedding) (default flush)
 //   --seed N            backoff jitter seed (default 1)
 //   --source NAME       source-name prefix (default "mrt")
-//   --batch N           observations per appended batch (default 4096)
+//   --batch N           cap on observations per appended batch (default
+//                       4096); a batch also ends whenever the socket has
+//                       nothing pending
 //   --stats-json        print the full per-source stats JSON on stdout
 //                       (including a telemetry snapshot); also printed on
 //                       fatal-error exits so post-mortem ledgers are
@@ -276,7 +278,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       detector = std::make_unique<pipeline::ShardedDetector>(
-          detect_config.build_table(), detect_options);
+          std::move(detect_config).build_table(), detect_options);
       // Incremental reload: SIGHUP re-reads the config file and swaps
       // the ownership snapshot in on the producer thread, at a batch
       // boundary. A bad config keeps the previous table live — an

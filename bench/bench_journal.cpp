@@ -40,10 +40,7 @@ namespace fs = std::filesystem;
 
 core::Config make_config() {
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   return config;
 }
 

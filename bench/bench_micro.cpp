@@ -173,14 +173,12 @@ core::Config ownership_config(std::size_t prefixes, std::size_t tenants) {
     }
   }
   for (std::size_t i = 0; i < prefixes; ++i) {
-    core::OwnedPrefix owned;
-    owned.prefix = random_prefix(rng);
-    owned.legitimate_origins.insert(
-        static_cast<bgp::Asn>(64496 + (i % std::max<std::size_t>(tenants, 1))));
+    const net::Prefix prefix = random_prefix(rng);
+    const auto origin = static_cast<bgp::Asn>(64496 + (i % std::max<std::size_t>(tenants, 1)));
     if (tenants > 1) {
-      config.add_owned(ids[i % tenants], std::move(owned));
+      config.add_owned(ids[i % tenants], prefix, {origin});
     } else {
-      config.add_owned(std::move(owned));
+      config.add_owned(prefix, {origin});
     }
   }
   return config;
@@ -197,10 +195,7 @@ void BM_OwnershipColdLoad(benchmark::State& state) {
   const auto prefixes = static_cast<std::size_t>(state.range(0));
   const auto tenants = static_cast<std::size_t>(state.range(1));
   core::Config config = ownership_config(prefixes, tenants);
-  core::OwnedPrefix victim;
-  victim.prefix = net::Prefix::must_parse("10.99.0.0/23");
-  victim.legitimate_origins.insert(65001);
-  config.add_owned(std::move(victim));
+  config.add_owned(net::Prefix::must_parse("10.99.0.0/23"), {65001});
   feeds::Observation hijack;
   hijack.type = feeds::ObservationType::kAnnouncement;
   hijack.source = "bench";
@@ -223,14 +218,9 @@ BENCHMARK(BM_OwnershipColdLoad)
     ->ArgNames({"prefixes", "tenants"})
     ->Unit(benchmark::kMillisecond);
 
-void BM_OwnershipTextLoad(benchmark::State& state) {
-  // The text -> table half BM_OwnershipColdLoad skips: a full-scale v2
-  // config as serialized text (~45 MiB at 1M prefixes), parsed in one pass
-  // and frozen into the snapshot, as a process start or a SIGHUP reload
-  // of that file does.
-  const auto prefixes = static_cast<std::size_t>(state.range(0));
-  const auto tenants = static_cast<std::size_t>(state.range(1));
-  const std::string text = ownership_config(prefixes, tenants).to_json().dump();
+/// Times text -> table: the config parsed in one pass and frozen into the
+/// snapshot, as a process start or a SIGHUP reload of that file does.
+void time_text_load(benchmark::State& state, const std::string& text, std::size_t prefixes) {
   for (auto _ : state) {
     const auto table = core::Config::from_json_text(text).build_table();
     if (table->owned().size() != prefixes) state.SkipWithError("lost entries");
@@ -239,10 +229,51 @@ void BM_OwnershipTextLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(prefixes));
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
+
+void BM_OwnershipTextLoad(benchmark::State& state) {
+  // The text -> table half BM_OwnershipColdLoad skips: a full-scale v2
+  // config as serialized text (~45 MiB at 1M prefixes).
+  const auto prefixes = static_cast<std::size_t>(state.range(0));
+  const auto tenants = static_cast<std::size_t>(state.range(1));
+  time_text_load(state, ownership_config(prefixes, tenants).to_json().dump(), prefixes);
+}
 BENCHMARK(BM_OwnershipTextLoad)
     ->Args({1 << 20, 1000})
     ->ArgNames({"prefixes", "tenants"})
     ->Unit(benchmark::kMillisecond);
+
+void BM_OwnershipTextLoadDualStack(benchmark::State& state) {
+  // The perfbench tenant_replay shape, which BM_OwnershipTextLoad's
+  // v4-only random prefixes miss: 768k v4 /23s and 256k v6 /48s (enough
+  // to build the v6 stride tables), listed in permuted address order, so
+  // a load that follows the listing misses cache down the trie. 1k
+  // tenants of 1,024 prefixes, one origin each.
+  constexpr std::size_t kV4 = 768 * 1024;
+  constexpr std::size_t kV6 = 256 * 1024;
+  constexpr std::size_t kTenants = 1000;
+  constexpr std::size_t kPerTenant = 1024;
+  std::vector<net::Prefix> prefixes;
+  for (std::size_t k = 0; k < kV4; ++k) {
+    prefixes.emplace_back(net::IpAddress::v4(0x20000000u + static_cast<std::uint32_t>(k) * 512),
+                          23);
+  }
+  for (std::size_t k = 0; k < kV6; ++k) {
+    prefixes.emplace_back(net::IpAddress::v6((0x2400ull << 48) | (k << 16), 0), 48);
+  }
+  Rng rng(13);
+  rng.shuffle(prefixes.data(), prefixes.size());
+  core::Config config;
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    config.add_tenant("t" + std::to_string(t));
+  }
+  const std::size_t count = kTenants * kPerTenant;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto tenant = static_cast<core::TenantId>(i / kPerTenant);
+    config.add_owned(tenant, prefixes[i], {static_cast<bgp::Asn>(100000 + tenant)});
+  }
+  time_text_load(state, config.to_json().dump(), count);
+}
+BENCHMARK(BM_OwnershipTextLoadDualStack)->Unit(benchmark::kMillisecond);
 
 void BM_OwnershipLookup(benchmark::State& state) {
   // The steady-state half of the acceptance bar: a multi-tenant match

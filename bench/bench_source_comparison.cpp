@@ -41,10 +41,7 @@ std::map<std::string, LegacyOutcome> run_legacy(const BenchArgs& args,
                                        pool.begin() + std::min<std::size_t>(16, pool.size()));
 
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = scenario.params.victim_prefix;
-  owned.legitimate_origins.insert(scenario.params.victim);
-  config.add_owned(std::move(owned));
+  config.add_owned(scenario.params.victim_prefix, {scenario.params.victim});
 
   feeds::StreamFeedParams stream_params;
   stream_params.name = "stream";

@@ -78,10 +78,7 @@ int main(int argc, char** argv) {
   // ---- Phase 2: offline analysis ----------------------------------------
   std::printf("\nreplaying the file through the detection service...\n");
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = prefix;
-  owned.legitimate_origins.insert(victim);
-  config.add_owned(std::move(owned));
+  config.add_owned(prefix, {victim});
   core::DetectionService detector(config);
 
   // Offline: one merged source and no feed lag (delivered_at ==

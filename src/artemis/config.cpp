@@ -57,19 +57,21 @@ TenantId Config::ensure_default_tenant() {
   return kDefaultTenantId;
 }
 
-void Config::add_owned(TenantId tenant, OwnedPrefix owned) {
+void Config::add_owned(TenantId tenant, const net::Prefix& prefix,
+                       const std::vector<bgp::Asn>& origins,
+                       const std::vector<bgp::Asn>& neighbors) {
   if (tenant >= tenants_.size()) {
     throw std::invalid_argument("unknown tenant id");
   }
-  if (owned.legitimate_origins.empty()) {
+  if (origins.empty()) {
     throw std::invalid_argument("owned prefix needs at least one legitimate origin");
   }
-  owned.tenant = tenant;
-  owned_.push_back(std::move(owned));
+  owned_.add(prefix, tenant, origins, neighbors);
 }
 
-void Config::add_owned(OwnedPrefix owned) {
-  add_owned(ensure_default_tenant(), std::move(owned));
+void Config::add_owned(const net::Prefix& prefix, const std::vector<bgp::Asn>& origins,
+                       const std::vector<bgp::Asn>& neighbors) {
+  add_owned(ensure_default_tenant(), prefix, origins, neighbors);
 }
 
 MitigationPolicy& Config::mitigation() {
@@ -356,25 +358,28 @@ class ConfigLoader {
   }
 
   /// One {"prefix","origins","neighbors"} entry — shared by both schemas.
+  /// Its ASN lists are read into two reused vectors and go into the
+  /// Config's arena once the entry ends, so an entry allocates nothing.
   void read_entry(TenantId tenant) {
     if (!expect(json::Type::kObject, entry_rank(kPrefixPart), "entry")) return;
     const std::size_t at = value_at_;
     if (!v2_) config_.ensure_default_tenant();
-    OwnedPrefix& owned = config_.owned_.emplace_back();
-    owned.tenant = tenant;
+    net::Prefix prefix;
+    origins_.clear();
+    neighbors_.clear();
     unsigned seen = 0;
     std::string_view key;
     in_.begin_object();
     while (in_.next_member(key)) {
       if (key == "prefix") {
         once(seen, kPrefixMember, key);
-        read_prefix(owned.prefix);
+        read_prefix(prefix);
       } else if (key == "origins") {
         once(seen, kOriginsMember, key);
-        read_asns(owned.legitimate_origins, kOriginsPart, key);
+        read_asns(origins_, kOriginsPart, key);
       } else if (key == "neighbors") {
         once(seen, kNeighborsMember, key);
-        read_asns(owned.legitimate_neighbors, kNeighborsPart, key);
+        read_asns(neighbors_, kNeighborsPart, key);
       } else {
         in_.skip_value();
       }
@@ -384,10 +389,11 @@ class ConfigLoader {
     }
     if ((seen & kOriginsMember) == 0) {
       fault(entry_rank(kOriginsPart), true, at, {"missing key: origins"});
-    } else if (owned.legitimate_origins.empty()) {
+    } else if (origins_.empty()) {
       fault(entry_rank(kNoOriginPart), false, at,
             {"owned prefix needs at least one legitimate origin"});
     }
+    config_.owned_.add(prefix, tenant, origins_, neighbors_);
   }
 
   void read_prefix(net::Prefix& out) {
@@ -402,7 +408,7 @@ class ConfigLoader {
 
   /// An "origins" / "neighbors" array; `part` is its EntryPart, its
   /// elements rank at part + 1.
-  void read_asns(std::set<bgp::Asn>& out, EntryPart part, std::string_view what) {
+  void read_asns(std::vector<bgp::Asn>& out, EntryPart part, std::string_view what) {
     if (!expect(json::Type::kArray, entry_rank(part), what)) return;
     in_.begin_array();
     for (std::uint64_t k = 0; in_.next_element(); ++k) {
@@ -411,13 +417,15 @@ class ConfigLoader {
       if (asn <= 0 || asn > 0xFFFFFFFFLL) {
         fault(entry_rank(part + 1, k), false, value_at_, {what, ": bad ASN"});
       } else {
-        out.insert(static_cast<bgp::Asn>(asn));
+        out.push_back(static_cast<bgp::Asn>(asn));
       }
     }
   }
 
   json::Reader in_;
   Config config_;
+  std::vector<bgp::Asn> origins_;    ///< the entry being read
+  std::vector<bgp::Asn> neighbors_;  ///< the entry being read
   std::optional<Fault> fault_;
   std::size_t value_at_ = 0;  ///< offset of the value last peeked
   bool v2_ = false;
@@ -432,21 +440,22 @@ json::Value Config::to_json() const {
                   (tenants_.empty() || tenants_.front().name == "default");
   if (v1) {
     json::Array prefixes;
-    for (const auto& owned : owned_) prefixes.push_back(owned_entry_to_json(owned));
+    for (const OwnedPrefix owned : owned_) prefixes.push_back(owned_entry_to_json(owned));
     json::Object doc;
     doc["prefixes"] = json::Value(std::move(prefixes));
     doc["mitigation"] = mitigation_to_json(mitigation());
     return json::Value(std::move(doc));
   }
+  // Each tenant's entries in listing order, grouped in one pass.
+  std::vector<json::Array> prefixes(tenants_.size());
+  for (const OwnedPrefix owned : owned_) {
+    prefixes[owned.tenant].push_back(owned_entry_to_json(owned));
+  }
   json::Array tenants;
   for (const auto& tenant : tenants_) {
     json::Object tenant_doc;
     tenant_doc["name"] = json::Value(tenant.name);
-    json::Array prefixes;
-    for (const auto& owned : owned_) {
-      if (owned.tenant == tenant.id) prefixes.push_back(owned_entry_to_json(owned));
-    }
-    tenant_doc["prefixes"] = json::Value(std::move(prefixes));
+    tenant_doc["prefixes"] = json::Value(std::move(prefixes[tenant.id]));
     tenant_doc["mitigation"] = mitigation_to_json(tenant.mitigation);
     tenants.emplace_back(std::move(tenant_doc));
   }

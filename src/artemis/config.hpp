@@ -38,17 +38,23 @@ class Config {
   /// order). Throws std::invalid_argument on an empty or duplicate name.
   TenantId add_tenant(std::string name, MitigationPolicy mitigation = {});
 
-  /// Adds an owned prefix under `tenant` (which must exist). Throws when
-  /// the entry lists no legitimate origins.
-  void add_owned(TenantId tenant, OwnedPrefix owned);
+  /// Adds `prefix` under `tenant` (which must exist), with the ASNs that
+  /// may originate it and, optionally, its legitimate neighbors. Either
+  /// list may come in any order with repeats. Throws when `origins` is
+  /// empty.
+  void add_owned(TenantId tenant, const net::Prefix& prefix,
+                 const std::vector<bgp::Asn>& origins,
+                 const std::vector<bgp::Asn>& neighbors = {});
 
   /// v1-compat form: adds under the implicit default tenant (id 0,
-  /// created on first use). `owned.tenant` is overwritten.
-  void add_owned(OwnedPrefix owned);
+  /// created on first use).
+  void add_owned(const net::Prefix& prefix, const std::vector<bgp::Asn>& origins,
+                 const std::vector<bgp::Asn>& neighbors = {});
 
   /// Every owned prefix across every tenant, flat, in insertion order,
-  /// tenant-tagged (OwnedPrefix::tenant).
-  const std::vector<OwnedPrefix>& owned() const { return owned_; }
+  /// tenant-tagged (OwnedPrefix::tenant) — the store build_table hands
+  /// to the table.
+  const OwnedEntries& owned() const { return owned_; }
   bool owns_nothing() const { return owned_.empty(); }
 
   /// Registered tenants, index == id. Empty until the first add_tenant /
@@ -64,7 +70,8 @@ class Config {
   /// built here). Cold path: reload cost, not per-batch cost. The rvalue
   /// form moves the entries into the table, so
   /// `Config::from_json_text(text).build_table()` — the SIGHUP reload —
-  /// copies nothing; the const form copies the Config first.
+  /// copies nothing; the const form copies the Config first (two flat
+  /// vectors and the tenant list).
   std::shared_ptr<const OwnershipTable> build_table() const&;
   std::shared_ptr<const OwnershipTable> build_table() &&;
 
@@ -90,7 +97,7 @@ class Config {
   /// Ensures tenant 0 exists for the v1-compat entry points.
   TenantId ensure_default_tenant();
 
-  std::vector<OwnedPrefix> owned_;   ///< flat, tenant-tagged
+  OwnedEntries owned_;               ///< flat, tenant-tagged
   std::vector<TenantInfo> tenants_;  ///< index == id
 };
 

@@ -63,10 +63,10 @@ std::optional<DetectionService::Classification> DetectionService::classify(
     }
     return std::nullopt;
   }
-  const OwnedPrefix& owned = table_->entry(ref);
+  const OwnedPrefix owned = table_->entry(ref);
 
   const bgp::Asn origin = obs.origin_as();
-  const bool origin_ok = owned.legitimate_origins.contains(origin);
+  const bool origin_ok = owned.legitimate_origin(origin);
 
   if (obs.prefix == owned.prefix) {
     if (!origin_ok) {
@@ -93,8 +93,8 @@ std::optional<DetectionService::Classification> DetectionService::classify(
   if (options_.detect_fake_first_hop && origin_ok &&
       !owned.legitimate_neighbors.empty()) {
     const bgp::Asn adjacent = obs.attrs.as_path.origin_neighbor();
-    if (adjacent != bgp::kNoAsn && !owned.legitimate_neighbors.contains(adjacent) &&
-        !owned.legitimate_origins.contains(adjacent)) {
+    if (adjacent != bgp::kNoAsn && !owned.legitimate_neighbor(adjacent) &&
+        !owned.legitimate_origin(adjacent)) {
       return Classification{HijackType::kFakeFirstHop, owned.prefix, adjacent,
                             ref.tenant};
     }

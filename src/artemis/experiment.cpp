@@ -45,22 +45,21 @@ Config build_experiment_config(const topo::AsGraph& graph,
   // upstreams (for the Type-1 extension). Helper ASes are legitimate
   // origins too: traffic they attract is tunneled back.
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = params.victim_prefix;
-  owned.legitimate_origins.insert(params.victim);
-  for (const auto helper : helpers) owned.legitimate_origins.insert(helper);
+  std::vector<bgp::Asn> origins{params.victim};
+  origins.insert(origins.end(), helpers.begin(), helpers.end());
+  std::vector<bgp::Asn> neighbors;
   for (const auto& neighbor : graph.neighbors(params.victim)) {
-    owned.legitimate_neighbors.insert(neighbor.asn);
+    neighbors.push_back(neighbor.asn);
   }
   // Helpers originate during outsourced mitigation; their neighbors must
   // be acceptable first hops or the Type-1 check would self-alert on the
   // mitigation announcements.
   for (const auto helper : helpers) {
     for (const auto& neighbor : graph.neighbors(helper)) {
-      owned.legitimate_neighbors.insert(neighbor.asn);
+      neighbors.push_back(neighbor.asn);
     }
   }
-  config.add_owned(std::move(owned));
+  config.add_owned(params.victim_prefix, origins, neighbors);
   return config;
 }
 
@@ -169,7 +168,6 @@ HijackExperiment::HijackExperiment(const topo::AsGraph& graph,
   // reconstruct the recording run's exact ground truth.
   helpers_ = recruit_helpers(graph, params_);
   Config config = build_experiment_config(graph, params_, helpers_);
-  legit_origins_ = config.owned().front().legitimate_origins;
   // The live simulation always dispatches detection inline: alert
   // handlers schedule sim events mid-delivery, which only preserves
   // sim-time causality on the sim thread. Threaded detection is a
@@ -218,8 +216,9 @@ bool HijackExperiment::truth_vantage_legitimate(bgp::Asn vantage) const {
   // Legitimate = every sample resolves to a legitimate origin AND none of
   // the traffic flows through the attacker (the latter matters for
   // forged-origin attacks, where the origin *looks* right).
+  const OwnedPrefix victim = app_->config().owned().front();
   for (const auto& addr : truth_sample_points(params_.victim_prefix)) {
-    if (!legit_origins_.contains(network_->resolve_origin(vantage, addr))) return false;
+    if (!victim.legitimate_origin(network_->resolve_origin(vantage, addr))) return false;
   }
   return !truth_vantage_hijacked(vantage);
 }

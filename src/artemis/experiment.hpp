@@ -164,7 +164,6 @@ class HijackExperiment {
   std::vector<bgp::Asn> vantage_union_;
   std::vector<bgp::Asn> helpers_;
   std::vector<std::unique_ptr<SimController>> helper_controllers_;
-  std::set<bgp::Asn> legit_origins_;
   std::unordered_map<bgp::Asn, double> vantage_weights_;
 };
 

@@ -36,7 +36,7 @@ bool MonitoringService::compute_legitimate(const VantageView& view,
   for (const auto& addr : samples) {
     const auto hit = view.routes.lookup(addr);
     if (!hit) return false;  // no route: traffic is blackholed, not ours
-    if (!owned.legitimate_origins.contains(*hit->second)) return false;
+    if (!owned.legitimate_origin(*hit->second)) return false;
   }
   return true;
 }
@@ -50,19 +50,18 @@ void MonitoringService::process_batch(std::span<const feeds::Observation> batch)
     VantageView* view = nullptr;
     bool prefix_valid = false;
     net::Prefix prefix;
-    const OwnedPrefix* owned = nullptr;
+    bool owned = false;
   } cursor;
   for (const auto& obs : batch) {
     // Owned-prefix match memo: archive windows repeat prefixes in bursts,
     // and for the (typical) non-owned majority the memo also
     // short-circuits the scan.
     if (!cursor.prefix_valid || cursor.prefix != obs.prefix) {
-      const OwnershipRef ref = table_->match(obs.prefix);
-      cursor.owned = ref ? &table_->entry(ref) : nullptr;
+      cursor.owned = table_->match(obs.prefix).valid();
       cursor.prefix = obs.prefix;
       cursor.prefix_valid = true;
     }
-    if (cursor.owned == nullptr) continue;
+    if (!cursor.owned) continue;
 
     // Per-vantage view memo: one map walk per run of equal vantages.
     if (cursor.view == nullptr || cursor.vantage != obs.vantage) {
@@ -77,12 +76,12 @@ void MonitoringService::process_batch(std::span<const feeds::Observation> batch)
     }
 
     // Recompute legitimacy for every owned prefix this observation
-    // touches (a super-prefix can affect several).
-    for (std::size_t i = 0; i < table_->owned().size(); ++i) {
-      const auto& candidate = table_->owned()[i];
-      if (!candidate.prefix.overlaps(obs.prefix)) continue;
+    // touches (a super-prefix can affect several), in entry order.
+    table_->overlapping(obs.prefix, overlap_);
+    for (const std::uint32_t i : overlap_) {
+      const OwnedPrefix candidate = table_->owned()[i];
       const bool legit = compute_legitimate(view, candidate);
-      const auto key = std::make_pair(obs.vantage, i);
+      const auto key = std::make_pair(i, obs.vantage);
       const auto it = state_.find(key);
       if (it != state_.end() && it->second == legit) continue;
       state_[key] = legit;
@@ -102,26 +101,32 @@ void MonitoringService::process_batch(std::span<const feeds::Observation> batch)
 
 std::optional<bool> MonitoringService::vantage_legitimate(
     bgp::Asn vantage, const net::Prefix& owned) const {
-  for (std::size_t i = 0; i < table_->owned().size(); ++i) {
-    if (table_->owned()[i].prefix != owned) continue;
-    const auto it = state_.find(std::make_pair(vantage, i));
-    if (it == state_.end()) return std::nullopt;
-    return it->second;
+  // A prefix listed more than once answers for its first listing.
+  std::vector<std::uint32_t> listings;
+  table_->listings(owned, listings);
+  if (listings.empty()) return std::nullopt;
+  const auto it = state_.find(std::make_pair(listings.front(), vantage));
+  if (it == state_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::pair<std::size_t, std::size_t> MonitoringService::tally(const net::Prefix& owned) const {
+  std::size_t with_data = 0;
+  std::size_t legit = 0;
+  std::vector<std::uint32_t> listings;
+  table_->listings(owned, listings);
+  for (const std::uint32_t i : listings) {
+    for (auto it = state_.lower_bound(std::make_pair(i, bgp::Asn{0}));
+         it != state_.end() && it->first.first == i; ++it) {
+      ++with_data;
+      if (it->second) ++legit;
+    }
   }
-  return std::nullopt;
+  return {with_data, legit};
 }
 
 double MonitoringService::fraction_legitimate(const net::Prefix& owned) const {
-  std::size_t with_data = 0;
-  std::size_t legit = 0;
-  for (std::size_t i = 0; i < table_->owned().size(); ++i) {
-    if (table_->owned()[i].prefix != owned) continue;
-    for (const auto& [key, value] : state_) {
-      if (key.second != i) continue;
-      ++with_data;
-      if (value) ++legit;
-    }
-  }
+  const auto [with_data, legit] = tally(owned);
   if (with_data == 0) return std::nan("");
   return static_cast<double>(legit) / static_cast<double>(with_data);
 }
@@ -132,14 +137,7 @@ bool MonitoringService::all_legitimate(const net::Prefix& owned) const {
 }
 
 std::size_t MonitoringService::vantages_with_data(const net::Prefix& owned) const {
-  std::size_t with_data = 0;
-  for (std::size_t i = 0; i < table_->owned().size(); ++i) {
-    if (table_->owned()[i].prefix != owned) continue;
-    for (const auto& [key, value] : state_) {
-      if (key.second == i) ++with_data;
-    }
-  }
-  return with_data;
+  return tally(owned).first;
 }
 
 void MonitoringService::on_change(std::function<void(const VantageChange&)> handler) {

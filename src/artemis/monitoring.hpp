@@ -95,11 +95,15 @@ class MonitoringService {
   /// half-prefix bases, so post-mitigation /24s are judged correctly).
   std::vector<net::IpAddress> sample_points(const net::Prefix& owned) const;
   bool compute_legitimate(const VantageView& view, const OwnedPrefix& owned) const;
+  /// (vantages with data, legitimate ones) over every listing of `owned`.
+  std::pair<std::size_t, std::size_t> tally(const net::Prefix& owned) const;
 
   std::shared_ptr<const OwnershipTable> table_;
   std::map<bgp::Asn, VantageView> vantages_;
-  /// Cached legitimacy per (vantage, owned prefix index).
-  std::map<std::pair<bgp::Asn, std::size_t>, bool> state_;
+  /// Cached legitimacy per (owned entry index, vantage): one entry's
+  /// vantages are one contiguous range.
+  std::map<std::pair<std::uint32_t, bgp::Asn>, bool> state_;
+  std::vector<std::uint32_t> overlap_;  ///< reused by process_batch
   std::vector<VantageChange> changes_;
   std::vector<std::function<void(const VantageChange&)>> handlers_;
 };

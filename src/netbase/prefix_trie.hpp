@@ -235,6 +235,10 @@ class PrefixTrie {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Sizes the node arena for `entries` more inserts (each creates at
+  /// most two nodes), so a bulk build never reallocates and copies it.
+  void reserve(std::size_t entries) { nodes_.reserve(nodes_.size() + 2 * entries); }
+
   void clear() {
     nodes_.clear();
     values_.clear();

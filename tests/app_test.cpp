@@ -35,10 +35,7 @@ struct AppFixture {
     network = std::make_unique<sim::Network>(graph, params, Rng(1));
 
     Config config;
-    OwnedPrefix owned;
-    owned.prefix = prefix;
-    owned.legitimate_origins.insert(kVictim);
-    config.add_owned(std::move(owned));
+    config.add_owned(prefix, {kVictim});
     config.mitigation().auto_mitigate = auto_mitigate;
     config.mitigation().reannounce_exact = false;
 

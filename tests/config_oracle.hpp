@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "artemis/config.hpp"
 #include "json/json.hpp"
@@ -25,19 +26,25 @@ inline bgp::Asn parse_asn(const json::Value& value, const char* what) {
   return static_cast<bgp::Asn>(asn);
 }
 
+struct OwnedEntry {
+  net::Prefix prefix;
+  std::vector<bgp::Asn> origins;
+  std::vector<bgp::Asn> neighbors;
+};
+
 /// One {"prefix","origins","neighbors"} entry — shared by both schemas.
-inline core::OwnedPrefix parse_owned_entry(const json::Value& entry) {
-  core::OwnedPrefix owned;
+inline OwnedEntry parse_owned_entry(const json::Value& entry) {
+  OwnedEntry owned;
   const auto prefix_text = entry.at("prefix").as_string();
   const auto prefix = net::Prefix::parse(prefix_text);
   if (!prefix) throw std::invalid_argument("bad prefix: " + prefix_text);
   owned.prefix = *prefix;
   for (const auto& origin : entry.at("origins").as_array()) {
-    owned.legitimate_origins.insert(parse_asn(origin, "origin"));
+    owned.origins.push_back(parse_asn(origin, "origin"));
   }
   if (const auto* neighbors = entry.find("neighbors")) {
     for (const auto& neighbor : neighbors->as_array()) {
-      owned.legitimate_neighbors.insert(parse_asn(neighbor, "neighbor"));
+      owned.neighbors.push_back(parse_asn(neighbor, "neighbor"));
     }
   }
   return owned;
@@ -71,7 +78,8 @@ inline core::Config from_json(const json::Value& doc) {
       config.mitigation() = parse_mitigation(*mitigation);
     }
     for (const auto& entry : doc.at("prefixes").as_array()) {
-      config.add_owned(parse_owned_entry(entry));
+      const OwnedEntry owned = parse_owned_entry(entry);
+      config.add_owned(owned.prefix, owned.origins, owned.neighbors);
     }
     return config;
   }
@@ -86,7 +94,8 @@ inline core::Config from_json(const json::Value& doc) {
     const core::TenantId id =
         config.add_tenant(tenant_doc.at("name").as_string(), policy);
     for (const auto& entry : tenant_doc.at("prefixes").as_array()) {
-      config.add_owned(id, parse_owned_entry(entry));
+      const OwnedEntry owned = parse_owned_entry(entry);
+      config.add_owned(id, owned.prefix, owned.origins, owned.neighbors);
     }
   }
   return config;

@@ -24,9 +24,9 @@ TEST(ConfigTest, FromJsonParsesEverything) {
   ASSERT_EQ(config.owned().size(), 2u);
   const auto& first = config.owned()[0];
   EXPECT_EQ(first.prefix.to_string(), "10.0.0.0/23");
-  EXPECT_TRUE(first.legitimate_origins.contains(65001));
-  EXPECT_TRUE(first.legitimate_neighbors.contains(174));
-  EXPECT_TRUE(first.legitimate_neighbors.contains(3356));
+  EXPECT_TRUE(first.legitimate_origin(65001));
+  EXPECT_TRUE(first.legitimate_neighbor(174));
+  EXPECT_TRUE(first.legitimate_neighbor(3356));
   const auto& second = config.owned()[1];
   EXPECT_EQ(second.legitimate_origins.size(), 2u);
   EXPECT_TRUE(second.legitimate_neighbors.empty());
@@ -126,9 +126,10 @@ TEST(ConfigTest, ToJsonRoundTrip) {
   const auto round = Config::from_json_text(config.to_json().dump());
   ASSERT_EQ(round.owned().size(), 2u);
   EXPECT_EQ(round.owned()[0].prefix, config.owned()[0].prefix);
-  EXPECT_EQ(round.owned()[0].legitimate_origins, config.owned()[0].legitimate_origins);
-  EXPECT_EQ(round.owned()[0].legitimate_neighbors,
-            config.owned()[0].legitimate_neighbors);
+  EXPECT_TRUE(std::ranges::equal(round.owned()[0].legitimate_origins,
+                                 config.owned()[0].legitimate_origins));
+  EXPECT_TRUE(std::ranges::equal(round.owned()[0].legitimate_neighbors,
+                                 config.owned()[0].legitimate_neighbors));
   EXPECT_EQ(round.mitigation().reannounce_exact, config.mitigation().reannounce_exact);
 }
 
@@ -152,14 +153,8 @@ TEST(ConfigTest, MatchSuperPrefix) {
 
 TEST(ConfigTest, MatchPrefersMostSpecificOwned) {
   Config config;
-  OwnedPrefix big;
-  big.prefix = net::Prefix::must_parse("10.0.0.0/16");
-  big.legitimate_origins.insert(1);
-  config.add_owned(big);
-  OwnedPrefix small;
-  small.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  small.legitimate_origins.insert(2);
-  config.add_owned(small);
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/16"), {1});
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {2});
   const auto table = config.build_table();
   const auto hit = table->match(net::Prefix::must_parse("10.0.0.0/24"));
   ASSERT_TRUE(hit);
@@ -168,9 +163,8 @@ TEST(ConfigTest, MatchPrefersMostSpecificOwned) {
 
 TEST(ConfigTest, AddOwnedValidatesOrigins) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/8");
-  EXPECT_THROW(config.add_owned(owned), std::invalid_argument);
+  EXPECT_THROW(config.add_owned(net::Prefix::must_parse("10.0.0.0/8"), {}),
+               std::invalid_argument);
   EXPECT_TRUE(config.owns_nothing());
 }
 

@@ -74,10 +74,7 @@ feeds::Observation make_obs(std::string_view prefix, std::vector<bgp::Asn> path,
 
 TEST(DetectionAllocTest, SteadyStateProcessIsAllocationFree) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
 
   // One observation per flavor the steady state must absorb for free:
@@ -113,10 +110,7 @@ TEST(DetectionAllocTest, SteadyStateProcessIsAllocationFree) {
 
 TEST(DetectionAllocTest, NewSourceAllocatesOnlyOnFirstSighting) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
 
   const auto from_a = make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100);
@@ -138,10 +132,7 @@ TEST(DetectionAllocTest, NewSourceAllocatesOnlyOnFirstSighting) {
 
 TEST(DetectionAllocTest, SteadyStateProcessBatchIsAllocationFree) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
 
   // A batch mixing every steady-state flavor, with bursty repeats so the
@@ -176,10 +167,7 @@ TEST(DetectionAllocTest, OwnershipSwapKeepsSteadyStateAllocationFree) {
   // set_ownership — and every batch processed after it stay allocation-
   // free. A reload must not tax the hot path it slides under.
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
 
   std::vector<feeds::Observation> batch;
@@ -210,10 +198,7 @@ TEST(DetectionAllocTest, OwnershipSwapKeepsSteadyStateAllocationFree) {
 
 TEST(DetectionAllocTest, SteadyStateHubBatchFanOutIsAllocationFree) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
   feeds::MonitorHub hub;
   detector.attach(hub);
@@ -240,10 +225,7 @@ TEST(DetectionAllocTest, SteadyStateJournalTapIsAllocationFree) {
   // after that every batch is varint-encoded into recycled storage and
   // handed to write(2).
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
   feeds::MonitorHub hub;
   detector.attach(hub);
@@ -404,10 +386,7 @@ TEST(DetectionAllocTest, SteadyStateIngestFeedIsAllocationFree) {
 
 TEST(DetectionAllocTest, SteadyStateShardedInlineSubmitIsAllocationFree) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   pipeline::ShardedDetectorOptions options;
   options.shards = 4;  // inline dispatch across partitioned dedup maps
   pipeline::ShardedDetector detector(config, options);
@@ -436,10 +415,7 @@ TEST(DetectionAllocTest, SteadyStateThreadedBatchRingIsAllocationFree) {
   for (const auto policy :
        {pipeline::WaitPolicy::kBusyPoll, pipeline::WaitPolicy::kFutex}) {
     Config config;
-    OwnedPrefix owned;
-    owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-    owned.legitimate_origins.insert(65001);
-    config.add_owned(std::move(owned));
+    config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
     pipeline::ShardedDetectorOptions options;
     options.shards = 2;
     options.threaded = true;
@@ -480,10 +456,7 @@ TEST(DetectionAllocTest, InstrumentedProcessBatchIsAllocationFree) {
   // — counter stores plus the detection-delay histogram machinery —
   // still performs zero heap allocations.
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   DetectionService detector(config);
 
   telemetry::MetricsRegistry registry;  // registration may allocate: fine
@@ -523,10 +496,7 @@ TEST(DetectionAllocTest, InstrumentedThreadedBatchRingIsAllocationFree) {
   for (const auto policy :
        {pipeline::WaitPolicy::kBusyPoll, pipeline::WaitPolicy::kFutex}) {
     Config config;
-    OwnedPrefix owned;
-    owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-    owned.legitimate_origins.insert(65001);
-    config.add_owned(std::move(owned));
+    config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
     telemetry::MetricsRegistry registry;
     pipeline::ShardedDetectorOptions options;
     options.shards = 2;

@@ -7,11 +7,7 @@ namespace {
 
 Config victim_config() {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  owned.legitimate_neighbors = {100, 200};
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001}, {100, 200});
   return config;
 }
 
@@ -206,10 +202,7 @@ TEST(DetectionTest, AlertToStringReadable) {
 
 TEST(DetectionTest, MultiOriginConfigAcceptsAllOrigins) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins = {65001, 65002};
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001, 65002});
   DetectionService detector(config);
   detector.process(make_obs("10.0.0.0/23", {9, 65001}));
   detector.process(make_obs("10.0.0.0/23", {9, 65002}));

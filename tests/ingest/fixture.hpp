@@ -25,14 +25,8 @@ namespace artemis::ingest_test {
 /// Owned config matching the fixture window's hijacks (offenders 666/667).
 inline core::Config make_config() {
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
-  core::OwnedPrefix v6;
-  v6.prefix = net::Prefix::must_parse("2001:db8::/32");
-  v6.legitimate_origins.insert(65003);
-  config.add_owned(std::move(v6));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
+  config.add_owned(net::Prefix::must_parse("2001:db8::/32"), {65003});
   return config;
 }
 

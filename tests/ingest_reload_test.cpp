@@ -102,23 +102,14 @@ TEST(IngestReloadTest, SighupOnboardsATenantWithoutRestart) {
   // unclassifiable. After: v2 tenants form; "acme" owns the v6 space.
   const std::string config_path = fresh_dir("reload_cfg") + ".json";
   core::Config before;
-  core::OwnedPrefix v4;
-  v4.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  v4.legitimate_origins.insert(65001);
-  before.add_owned(std::move(v4));
+  before.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   write_config(config_path, before);
 
   core::Config after;
   after.add_tenant("fleet");
   const core::TenantId acme = after.add_tenant("acme");
-  core::OwnedPrefix v4b;
-  v4b.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  v4b.legitimate_origins.insert(65001);
-  after.add_owned(std::move(v4b));
-  core::OwnedPrefix v6;
-  v6.prefix = net::Prefix::must_parse("2001:db8::/32");
-  v6.legitimate_origins.insert(65003);
-  after.add_owned(acme, std::move(v6));
+  after.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
+  after.add_owned(acme, net::Prefix::must_parse("2001:db8::/32"), {65003});
 
   const std::string journal_dir = fresh_dir("reload_journal");
   const std::string stderr_path = fresh_dir("reload_stderr") + ".txt";

@@ -446,10 +446,7 @@ TEST(CompressedJournalTest, ReplayIsBitIdenticalToRawAtShards1And4) {
   // Detection over the compressed journal, at shards 1 and 4, matches
   // detection over the raw journal bit for bit.
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.1.0.0/16");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.1.0.0/16"), {65001});
   const auto alerts_of = [&config](const std::string& dir, std::size_t shards) {
     pipeline::ShardedDetectorOptions options;
     options.shards = shards;

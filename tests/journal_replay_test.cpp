@@ -210,10 +210,7 @@ TEST(JournalReplayTest, CrashRecoveryRebuildsIdenticalDetectionState) {
   // directly. Both must agree bit-identically — same alerts, same dedup
   // counters, same per-source first-seen times.
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = scenario.experiment.victim_prefix;
-  owned.legitimate_origins.insert(scenario.experiment.victim);
-  config.add_owned(std::move(owned));
+  config.add_owned(scenario.experiment.victim_prefix, {scenario.experiment.victim});
 
   core::DetectionService reference(config);
   for (const auto& obs : recovered) reference.process(obs);
@@ -272,10 +269,7 @@ TEST(JournalReplayTest, ReplayChunkSizeDoesNotChangeTheOutcome) {
   }
 
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
 
   core::DetectionService reference(config);
   for (const auto& obs : stream) reference.process(obs);

@@ -84,10 +84,7 @@ struct RecordingController : Controller {
 
 Config victim_config(bool auto_mitigate = true) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   config.mitigation().auto_mitigate = auto_mitigate;
   config.mitigation().reannounce_exact = false;
   return config;

@@ -9,10 +9,7 @@ namespace {
 
 Config victim_config() {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
   return config;
 }
 
@@ -137,10 +134,7 @@ TEST(MonitoringTest, UnrelatedObservationsIgnored) {
 
 TEST(MonitoringTest, HostPrefixOwnedUsesSingleSample) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.1/32");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("10.0.0.1/32"), {65001});
   MonitoringService monitoring(config);
   monitoring.process(obs(9, "10.0.0.1/32", {9, 65001}, 10));
   EXPECT_EQ(monitoring.vantage_legitimate(9, net::Prefix::must_parse("10.0.0.1/32")),
@@ -182,6 +176,64 @@ TEST(MonitoringTest, BatchMatchesPerObservationProcessing) {
   }
   EXPECT_EQ(batched.fraction_legitimate(kOwned), loop.fraction_legitimate(kOwned));
   EXPECT_EQ(batched.vantages_with_data(kOwned), loop.vantages_with_data(kOwned));
+}
+
+TEST(MonitoringTest, OverlappingOwnedPrefixesFlipInEntryOrder) {
+  // Nested and sibling owned prefixes, listed out of address order, and
+  // one prefix listed twice: every observation re-judges each entry it
+  // overlaps (covering, equal or covered), in listing order, and each
+  // listing of the repeated prefix keeps its own state.
+  Config config;
+  config.add_owned(net::Prefix::must_parse("10.0.1.0/24"), {65002});         // 0
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/22"), {65001});         // 1
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/24"), {65001});         // 2
+  config.add_owned(net::Prefix::must_parse("10.0.2.0/23"), {65003});         // 3
+  config.add_owned(net::Prefix::must_parse("10.0.1.0/24"), {65002, 65005});  // 4
+  MonitoringService monitoring(config);
+  monitoring.process_batch(std::vector<feeds::Observation>{
+      obs(9, "10.0.0.0/22", {9, 65001}, 10),  // overlaps every entry
+      obs(9, "10.0.1.0/24", {9, 65002}, 11),  // entries 0, 1 and 4
+      obs(9, "10.0.2.0/24", {9, 666}, 12),    // entries 1 and 3
+  });
+  monitoring.process(obs(8, "10.0.0.0/23", {8, 65001}, 13));  // 0, 1, 2, 4
+  monitoring.process(
+      obs(9, "10.0.2.0/24", {}, 14, feeds::ObservationType::kWithdrawal));
+
+  struct Want {
+    double at;
+    bgp::Asn vantage;
+    const char* owned;
+    bool legitimate;
+    bgp::Asn origin;
+  };
+  const std::vector<Want> want = {
+      {10, 9, "10.0.1.0/24", false, 65001}, {10, 9, "10.0.0.0/22", true, 65001},
+      {10, 9, "10.0.0.0/24", true, 65001},  {10, 9, "10.0.2.0/23", false, 65001},
+      {10, 9, "10.0.1.0/24", false, 65001}, {11, 9, "10.0.1.0/24", true, 65002},
+      {11, 9, "10.0.1.0/24", true, 65002},  {12, 9, "10.0.0.0/22", false, 65001},
+      {13, 8, "10.0.1.0/24", false, 65001}, {13, 8, "10.0.0.0/22", false, 65001},
+      {13, 8, "10.0.0.0/24", true, 65001},  {13, 8, "10.0.1.0/24", false, 65001},
+      {14, 9, "10.0.0.0/22", true, 65001},
+  };
+  ASSERT_EQ(monitoring.changes().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const VantageChange& got = monitoring.changes()[i];
+    EXPECT_EQ(got.when, SimTime::at_seconds(want[i].at)) << i;
+    EXPECT_EQ(got.vantage, want[i].vantage) << i;
+    EXPECT_EQ(got.owned.to_string(), want[i].owned) << i;
+    EXPECT_EQ(got.legitimate, want[i].legitimate) << i;
+    EXPECT_EQ(got.current_origin, want[i].origin) << i;
+  }
+
+  // The repeated prefix answers for its first listing, and tallies both.
+  const auto repeated = net::Prefix::must_parse("10.0.1.0/24");
+  EXPECT_EQ(monitoring.vantage_legitimate(8, repeated), false);
+  EXPECT_EQ(monitoring.vantage_legitimate(9, repeated), true);
+  EXPECT_EQ(monitoring.vantages_with_data(repeated), 4u);
+  EXPECT_DOUBLE_EQ(monitoring.fraction_legitimate(repeated), 0.5);
+  EXPECT_EQ(monitoring.vantages_with_data(net::Prefix::must_parse("10.0.2.0/23")), 1u);
+  EXPECT_FALSE(
+      monitoring.vantage_legitimate(9, net::Prefix::must_parse("10.0.2.0/24")).has_value());
 }
 
 }  // namespace

@@ -36,18 +36,9 @@ namespace fs = std::filesystem;
 
 core::Config make_config() {
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
-  core::OwnedPrefix second;
-  second.prefix = net::Prefix::must_parse("192.0.2.0/24");
-  second.legitimate_origins.insert(65002);
-  config.add_owned(std::move(second));
-  core::OwnedPrefix v6;
-  v6.prefix = net::Prefix::must_parse("2001:db8::/32");
-  v6.legitimate_origins.insert(65003);
-  config.add_owned(std::move(v6));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
+  config.add_owned(net::Prefix::must_parse("192.0.2.0/24"), {65002});
+  config.add_owned(net::Prefix::must_parse("2001:db8::/32"), {65003});
   return config;
 }
 

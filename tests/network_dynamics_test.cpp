@@ -157,10 +157,7 @@ namespace {
 TEST(MultiPrefixTest, MonitoringTracksSeveralOwnedPrefixesIndependently) {
   Config config;
   for (const auto text : {"10.0.0.0/23", "192.0.2.0/24"}) {
-    OwnedPrefix owned;
-    owned.prefix = net::Prefix::must_parse(text);
-    owned.legitimate_origins.insert(65001);
-    config.add_owned(std::move(owned));
+    config.add_owned(net::Prefix::must_parse(text), {65001});
   }
   MonitoringService monitoring(config);
 
@@ -184,14 +181,8 @@ TEST(MultiPrefixTest, MonitoringTracksSeveralOwnedPrefixesIndependently) {
 
 TEST(MultiPrefixTest, DetectionKeepsPerPrefixGroundTruth) {
   Config config;
-  OwnedPrefix a;
-  a.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  a.legitimate_origins.insert(65001);
-  config.add_owned(std::move(a));
-  OwnedPrefix b;
-  b.prefix = net::Prefix::must_parse("192.0.2.0/24");
-  b.legitimate_origins.insert(65002);  // different origin!
-  config.add_owned(std::move(b));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001});
+  config.add_owned(net::Prefix::must_parse("192.0.2.0/24"), {65002});  // different origin!
   DetectionService detector(config);
 
   auto obs = [](std::string_view prefix, bgp::Asn origin) {
@@ -214,10 +205,7 @@ TEST(MultiPrefixTest, DetectionKeepsPerPrefixGroundTruth) {
 
 TEST(Ipv6Test, DetectionAndPlanningWorkOnV6Prefixes) {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("2001:db8::/32");
-  owned.legitimate_origins.insert(65001);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("2001:db8::/32"), {65001});
   DetectionService detector(config);
 
   feeds::Observation obs;

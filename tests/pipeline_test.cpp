@@ -28,23 +28,15 @@ using core::Config;
 using core::DetectionOptions;
 using core::DetectionService;
 using core::HijackAlert;
-using core::OwnedPrefix;
 using feeds::Observation;
 using feeds::ObservationType;
 
 Config make_config() {
   Config config;
-  OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-  owned.legitimate_origins.insert(65001);
   // Only AS3356 may sit next to the origin: with fake-first-hop
   // detection on, a legitimate origin behind any other hop alerts.
-  owned.legitimate_neighbors.insert(3356);
-  config.add_owned(std::move(owned));
-  OwnedPrefix second;
-  second.prefix = net::Prefix::must_parse("192.0.2.0/24");
-  second.legitimate_origins.insert(65002);
-  config.add_owned(std::move(second));
+  config.add_owned(net::Prefix::must_parse("10.0.0.0/23"), {65001}, {3356});
+  config.add_owned(net::Prefix::must_parse("192.0.2.0/24"), {65002});
   return config;
 }
 
@@ -313,10 +305,8 @@ TEST(PipelineOracleTest, LargeOwnedSet) {
   // More than 16 owned prefixes, most of them never announced.
   Config config = make_config();
   for (int i = 0; i < 20; ++i) {
-    OwnedPrefix extra;
-    extra.prefix = net::Prefix::must_parse("172.16." + std::to_string(i) + ".0/24");
-    extra.legitimate_origins.insert(65010);
-    config.add_owned(std::move(extra));
+    config.add_owned(net::Prefix::must_parse("172.16." + std::to_string(i) + ".0/24"),
+                     {65010});
   }
   expect_batch_equals_loop(config, {}, scenario_stream(23, 400));
 }
@@ -591,20 +581,9 @@ TEST(ShardedDetectorTest, ReloadUnderLoadMatrixIsDeterministic) {
   after.add_tenant("fleet");
   const auto acme = after.add_tenant("acme");
   const auto globex = after.add_tenant("globex");
-  {
-    OwnedPrefix owned;
-    owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-    owned.legitimate_origins.insert(65001);
-    after.add_owned(acme, std::move(owned));
-    OwnedPrefix second;
-    second.prefix = net::Prefix::must_parse("192.0.2.0/24");
-    second.legitimate_origins.insert(65002);
-    after.add_owned(globex, std::move(second));
-    OwnedPrefix onboarded;
-    onboarded.prefix = net::Prefix::must_parse("203.0.113.0/24");
-    onboarded.legitimate_origins.insert(65003);
-    after.add_owned(acme, std::move(onboarded));
-  }
+  after.add_owned(acme, net::Prefix::must_parse("10.0.0.0/23"), {65001});
+  after.add_owned(globex, net::Prefix::must_parse("192.0.2.0/24"), {65002});
+  after.add_owned(acme, net::Prefix::must_parse("203.0.113.0/24"), {65003});
   const auto after_table = after.build_table();
 
   const auto stream = scenario_stream(29, 3000);

@@ -131,10 +131,7 @@ TEST(ValidityTest, Names) {
 
 core::Config empty_owned_config() {
   core::Config config;
-  core::OwnedPrefix owned;
-  owned.prefix = net::Prefix::must_parse("203.0.113.0/24");
-  owned.legitimate_origins.insert(7);
-  config.add_owned(std::move(owned));
+  config.add_owned(net::Prefix::must_parse("203.0.113.0/24"), {7});
   return config;
 }
 

@@ -82,13 +82,19 @@ std::int64_t parse_micros(const char* text, const char* flag) {
   return static_cast<std::int64_t>(value);
 }
 
-/// Parses "10.0.0.0/23=65001,65002" into an OwnedPrefix.
-artemis::core::OwnedPrefix parse_owned(const std::string& spec) {
+/// One --owned flag: a prefix and its legitimate origins.
+struct OwnedFlag {
+  artemis::net::Prefix prefix;
+  std::vector<artemis::bgp::Asn> origins;
+};
+
+/// Parses "10.0.0.0/23=65001,65002".
+OwnedFlag parse_owned(const std::string& spec) {
   const auto eq = spec.find('=');
   if (eq == std::string::npos) usage_error("--owned needs PREFIX=ASN[,ASN...]");
   const auto prefix = artemis::net::Prefix::parse(spec.substr(0, eq));
   if (!prefix) usage_error(("bad prefix in --owned " + spec).c_str());
-  artemis::core::OwnedPrefix owned;
+  OwnedFlag owned;
   owned.prefix = *prefix;
   std::size_t pos = eq + 1;
   while (pos < spec.size()) {
@@ -102,14 +108,14 @@ artemis::core::OwnedPrefix parse_owned(const std::string& spec) {
     if (rest == spec.c_str() + pos || asn == 0 || asn > 0xFFFFFFFFul) {
       usage_error(("bad ASN in --owned " + spec).c_str());
     }
-    owned.legitimate_origins.insert(static_cast<artemis::bgp::Asn>(asn));
+    owned.origins.push_back(static_cast<artemis::bgp::Asn>(asn));
     pos = static_cast<std::size_t>(rest - spec.c_str());
     if (pos < spec.size()) {
       if (spec[pos] != ',') usage_error(("bad ASN list in --owned " + spec).c_str());
       ++pos;
     }
   }
-  if (owned.legitimate_origins.empty()) {
+  if (owned.origins.empty()) {
     usage_error(("--owned " + spec + " lists no origins").c_str());
   }
   return owned;
@@ -122,7 +128,7 @@ int main(int argc, char** argv) {
 
   std::string journal_dir;
   std::string config_path;
-  std::vector<core::OwnedPrefix> owned_flags;
+  std::vector<OwnedFlag> owned_flags;
   std::size_t shards = 1;
   bool threaded = false;
   bool pin = false;
@@ -188,7 +194,7 @@ int main(int argc, char** argv) {
       text << in.rdbuf();
       config = core::Config::from_json_text(text.str());
     }
-    for (auto& owned : owned_flags) config.add_owned(std::move(owned));
+    for (const auto& owned : owned_flags) config.add_owned(owned.prefix, owned.origins);
     if (config.owns_nothing()) {
       usage_error("the ownership config lists no prefixes");
     }
